@@ -21,7 +21,7 @@ from .embed import (
 from .errors import EmptyPoset, InvalidDescriptor
 from .ordinal import Card, OrdinalExpr, card_cmp
 from .pinboard import Pinboard
-from .poset import Poset, components, dual, is_chain_poset
+from .poset import Poset, bit_indices, components, dual, is_chain_mask, is_chain_poset
 
 
 class VerdictKind(Enum):
@@ -88,9 +88,9 @@ def is_flower(p: Poset) -> str | None:
             continue
         if (up | down | (1 << i)) != full:
             continue
-        if any(p.lt[j] & up for j in _bit_indices(up)):
+        if any(p.lt[j] & up for j in bit_indices(up)):
             continue
-        if not _mask_is_chain(p, down):
+        if not is_chain_mask(p, down):
             continue
         return p.elements[i]
     return None
@@ -309,18 +309,3 @@ def recheck_witness(p: Poset, witness: Witness) -> bool:
                 if pat.less(i, j) != p.less(idx[i], idx[j]):
                     return False
     return True
-
-
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def _mask_is_chain(p: Poset, mask: int) -> bool:
-    idx = _bit_indices(mask)
-    return all(
-        p.less(i, j) or p.less(j, i) for a, i in enumerate(idx) for j in idx[a + 1 :]
-    )

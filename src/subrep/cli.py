@@ -23,7 +23,7 @@ from .classify import classify_finite
 from .construct import build_g, verify_subrep
 from .embed import find_embedding, pattern_poset, PatternKind, all_embeddings
 from .errors import ParseError, SubrepError
-from .oracle import oracle_guard, oracle_subrep, survey
+from .oracle import oracle_subrep, survey
 from .ordinal import Card, OrdinalExpr, ZERO, fin, omega, ord_sum
 from .pinboard import (
     Pinboard,
@@ -37,7 +37,7 @@ from .pinboard import (
     theta,
     theta_subset,
 )
-from .poset import Poset, mask_of, names_of, poset_from_cover
+from .poset import Poset, bit_indices, mask_of, names_of, poset_from_cover
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def load_poset(path: str) -> Poset:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_poset_text(text)
 
@@ -78,25 +78,26 @@ def parse_ordinal(text: str) -> OrdinalExpr:
     total = ZERO
     for token in text.strip().split("+"):
         token = token.strip()
-        m = re.fullmatch(r"w(\d+)(?:\*(\d+))?", token)
-        if m:
-            term = omega(int(m.group(1)), int(m.group(2) or 1))
-        elif token.isdigit():
-            term = fin(int(token))
-        else:
+        m = re.fullmatch(r"w(\d+)(?:\*(\d+))?|(\d+)", token)
+        if not m:
             raise ParseError(f"bad ordinal token {token!r}")
+        try:
+            term = fin(int(m[3])) if m[3] else omega(int(m[1]), int(m[2] or 1))
+        except ValueError as exc:  # zero multiplicity, or too many digits
+            raise ParseError(f"bad ordinal token {token!r}: {exc}") from None
         total = ord_sum(total, term)
     return total
 
 
 def parse_cardinal(text: str) -> Card:
     text = text.strip()
-    m = re.fullmatch(r"aleph(\d+)", text)
-    if m:
-        return Card.aleph(int(m.group(1)))
-    if text.isdigit():
-        return Card.fin(int(text))
-    raise ParseError(f"bad cardinal token {text!r}")
+    m = re.fullmatch(r"aleph(\d+)|(\d+)", text)
+    if not m:
+        raise ParseError(f"bad cardinal token {text!r}")
+    try:
+        return Card.fin(int(m[2])) if m[2] else Card.aleph(int(m[1]))
+    except ValueError as exc:  # too many digits
+        raise ParseError(f"bad cardinal token {text!r}: {exc}") from None
 
 
 _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
@@ -161,20 +162,19 @@ def parse_pin_subset(text: str, host: SimplePinboard) -> PinSubset:
     return normalize_subset(pairs, host)
 
 
+def _dot_id(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def poset_to_dot(p: Poset) -> str:
     """Hasse diagram (cover relations only) in DOT text form."""
+    ids = [_dot_id(name) for name in p.elements]
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for name in p.elements:
-        lines.append(f'  "{name}";')
+    lines += [f"  {ident};" for ident in ids]
     for i in range(p.n):
-        rest = p.above_mask(i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not any(
-                p.less(i, k) and p.less(k, j) for k in range(p.n)
-            ):
-                lines.append(f'  "{p.elements[i]}" -> "{p.elements[j]}";')
+        for j in bit_indices(p.above_mask(i)):
+            if not (p.above_mask(i) & p.below_mask(j)):
+                lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -221,7 +221,7 @@ def _cmd_subrep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     p = load_poset(args.file)
-    witness = oracle_subrep(p, max_n=oracle_guard())
+    witness = oracle_subrep(p)
     payload = {"subRepresentable": witness is not None}
     payload["g"] = None if witness is None else _g_rows(witness)
     _emit(payload)

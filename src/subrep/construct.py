@@ -19,6 +19,7 @@ from .errors import NotSubRepresentable, PartialMap, TooLarge
 from .poset import (
     CANONICAL_MAX,
     Poset,
+    bit_indices,
     canonical_code,
     dual,
     names_of,
@@ -68,7 +69,7 @@ def build_g(p: Poset) -> SubRepMap:
     if not verdict.sub_representable:
         raise NotSubRepresentable("no witnessing map exists for this poset")
     if verdict.kind == VerdictKind.UNION_OF_CHAINS:
-        table = _chain_union_table(p)
+        table = _chain_union_table(p, verdict.witness.chains)
     elif verdict.kind == VerdictKind.FLOWER:
         table = _flower_table(p, p.index(verdict.witness.center))
     else:
@@ -80,8 +81,8 @@ def build_g(p: Poset) -> SubRepMap:
 def _flower_table(p: Poset, center: int) -> dict[int, int]:
     """Images inside a flower with the fixed labeling: the top antichain
     x_1..x_k by element index, then the center, then the stem downward."""
-    top = _bit_list(p.above_mask(center))
-    stem = sorted(_bit_list(p.below_mask(center)), key=lambda i: -p.below_mask(i).bit_count())
+    top = bit_indices(p.above_mask(center))
+    stem = sorted(bit_indices(p.below_mask(center)), key=lambda i: -p.below_mask(i).bit_count())
     spine = [center] + stem  # positions k+1, k+2, ... of the labeling
     table: dict[int, int] = {}
     for mask in range(1, 1 << p.n):
@@ -102,14 +103,16 @@ def _flower_table(p: Poset, center: int) -> dict[int, int]:
     return table
 
 
-def _chain_union_table(p: Poset) -> dict[int, int]:
+def _chain_union_table(
+    p: Poset, chains: tuple[tuple[str, ...], ...]
+) -> dict[int, int]:
     """Images inside a disjoint union of chains: the subset's traces,
     largest first, land on the bottoms of the chains in the fixed
-    descending order."""
+    descending order (the classifier's witness order)."""
     chain_masks = []
     chain_bottoms_up = []
-    for c in _sorted_chain_components(p):
-        idx = sorted((p.index(name) for name in c.elements),
+    for c in chains:
+        idx = sorted((p.index(name) for name in c),
                      key=lambda i: p.below_mask(i).bit_count())
         chain_masks.append(_mask_from(idx))
         chain_bottoms_up.append(idx)
@@ -125,14 +128,6 @@ def _chain_union_table(p: Poset) -> dict[int, int]:
             image |= _mask_from(chain_bottoms_up[slot][:size])
         table[mask] = image
     return table
-
-
-def _sorted_chain_components(p: Poset) -> list[Poset]:
-    from .classify import is_union_of_chains
-
-    chains = is_union_of_chains(p)
-    assert chains is not None
-    return chains
 
 
 def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
@@ -200,14 +195,6 @@ def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
                         else "representatives nested without an embedding",
                     )
                 )
-    return out
-
-
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 
-from .poset import Poset, canonical_code, poset_from_cover
+from .poset import Poset, bit_indices, canonical_code, chain_heights, poset_from_cover
 
 
 class PatternKind(Enum):
@@ -87,32 +87,12 @@ def obstruction_patterns() -> tuple[PatternKind, ...]:
 
 
 def _element_stats(p: Poset) -> list[tuple[int, int, int, int]]:
-    up_chain: dict[int, int] = {}
-    down_chain: dict[int, int] = {}
-
-    def walk(i: int, rows: tuple[int, ...], memo: dict[int, int]) -> int:
-        if i in memo:
-            return memo[i]
-        best = 0
-        rest = rows[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            best = max(best, walk(j, rows, memo))
-        memo[i] = best + 1
-        return memo[i]
-
-    stats = []
-    for i in range(p.n):
-        stats.append(
-            (
-                p.above_mask(i).bit_count(),
-                p.below_mask(i).bit_count(),
-                walk(i, p.lt, up_chain),
-                walk(i, p._gt, down_chain),
-            )
-        )
-    return stats
+    up_chain = chain_heights(p.lt)
+    down_chain = chain_heights(p._gt)
+    return [
+        (p.lt[i].bit_count(), p._gt[i].bit_count(), up_chain[i], down_chain[i])
+        for i in range(p.n)
+    ]
 
 
 def _candidate_masks(p1: Poset, p2: Poset) -> list[int] | None:
@@ -167,10 +147,7 @@ def _search(
             found.append(tuple(image))
             return limit is not None and len(found) >= limit
         s = order[k]
-        rest = cand[s] & ~used
-        while rest:
-            t = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for t in bit_indices(cand[s] & ~used):
             ok = True
             for prev in order[:k]:
                 tp = image[prev]

@@ -17,23 +17,26 @@ from dataclasses import dataclass
 from .classify import Verdict, classify_finite
 from .construct import SubRepMap
 from .embed import embeds
-from .errors import TooLarge
-from .poset import Poset, _canonical_rows, _default_names, canonical_code, subposet
+from .errors import SubrepError, TooLarge
+from .poset import Poset, bit_indices, canonical_code, canonical_form, subposet
 
 ORACLE_MAX_DEFAULT = 6
 ENUMERATE_MAX = 5
 
 
-def oracle_guard() -> int:
-    """Oracle size guard; the SUBREP_MAX_N environment variable overrides
-    the default of 6."""
-    return int(os.environ.get("SUBREP_MAX_N", ORACLE_MAX_DEFAULT))
-
-
 def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
     """A witnessing map found by exhaustive search, or None after
-    exhausting every candidate."""
-    limit = oracle_guard() if max_n is None else max_n
+    exhausting every candidate.
+
+    ``max_n`` defaults to the SUBREP_MAX_N environment variable, else 6.
+    """
+    limit = max_n
+    if limit is None:
+        raw = os.environ.get("SUBREP_MAX_N", str(ORACLE_MAX_DEFAULT))
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise SubrepError(f"SUBREP_MAX_N must be an integer, not {raw!r}") from None
     if p.n > limit:
         raise TooLarge(f"oracle is limited to {limit} elements")
     if p.n == 0:
@@ -88,32 +91,21 @@ def enumerate_posets(n: int) -> list[Poset]:
     if n > ENUMERATE_MAX:
         raise TooLarge(f"enumeration is limited to {ENUMERATE_MAX} elements")
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    names = tuple(_default_names(n))
+    names = tuple(f"x{i}" for i in range(n))
     seen: dict[bytes, Poset] = {}
-    for bits in range(1 << len(cells)):
+    for relation in range(1 << len(cells)):
         rows = [0] * n
         for idx, (i, j) in enumerate(cells):
-            if (bits >> idx) & 1:
+            if (relation >> idx) & 1:
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            rest = rows[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if rows[j] & ~rows[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
+        if any(rows[j] & ~rows[i] for i in range(n) for j in bit_indices(rows[i])):
+            continue  # not transitively closed
         # Every poset admits a linear extension, so scanning only relations
         # compatible with the index order still reaches every class.
         p = Poset(names, tuple(rows))
         code = canonical_code(p)
         if code not in seen:
-            seen[code] = Poset(names, _canonical_rows(p))
+            seen[code] = canonical_form(p)
     return [seen[code] for code in sorted(seen)]
 
 

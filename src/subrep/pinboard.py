@@ -107,27 +107,25 @@ def normalize_subset(
 ) -> PinSubset:
     """Merge duplicate heights, drop absorbed entries, and fit-check.
 
-    An entry (h', f') with infinite f' is absorbed by any taller entry
-    (h, f) with f >= f': removing it does not change the embeddability
-    class of the subset.
+    An entry (h', f') is absorbed by any taller entry (h, f) with f
+    infinite and f >= f': since f + f' = f, the f taller chains have room
+    for the f' shorter ones, so removing the entry does not change the
+    embeddability class of the subset.
     """
     if starred is None:
         starred = host.starred
     elif starred != host.starred:
         raise HostMismatch("subset and host must agree on orientation")
-    merged = [
-        (h, f) for h, f in _merge_pairs(raw) if f.is_infinite or f.value > 0
-    ]
-    kept = [
-        (h2, f2)
-        for h2, f2 in merged
-        if not (
-            f2.is_infinite
-            and any(
-                ord_cmp(h, h2) > 0 and card_cmp(f, f2) >= 0 for h, f in merged
-            )
-        )
-    ]
+    kept = []
+    widest: Card | None = None  # largest infinite frequency seen, tallest first
+    for h, f in _merge_pairs(raw):
+        if not f.is_infinite and f.value == 0:
+            continue
+        if widest is not None and card_cmp(f, widest) <= 0:
+            continue
+        kept.append((h, f))
+        if f.is_infinite:
+            widest = f
     _check_fit(kept, host)
     return PinSubset(host, tuple(kept), starred)
 

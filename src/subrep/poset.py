@@ -173,7 +173,7 @@ def subposet(p: Poset, mask: int) -> Poset:
     """Induced subposet on the elements selected by ``mask``."""
     if mask & ~((1 << p.n) - 1):
         raise ValueError("mask refers to missing elements")
-    sel = _bits(mask)
+    sel = bit_indices(mask)
     pos = {i: k for k, i in enumerate(sel)}
     rows = []
     for i in sel:
@@ -196,32 +196,14 @@ def mask_of(p: Poset, names: Iterable[str]) -> int:
 
 
 def names_of(p: Poset, mask: int) -> tuple[str, ...]:
-    return tuple(p.elements[i] for i in _bits(mask))
+    return tuple(p.elements[i] for i in bit_indices(mask))
 
 
 def height_width(p: Poset) -> tuple[int, int]:
     """Largest chain size and largest antichain size, computed exactly."""
     if p.n == 0:
         raise EmptyPoset("height and width need a nonempty poset")
-    return _height(p), _max_antichain(p, (1 << p.n) - 1)
-
-
-def _height(p: Poset) -> int:
-    memo: dict[int, int] = {}
-
-    def up_chain(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        best = 0
-        rest = p.lt[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            best = max(best, up_chain(j))
-        memo[i] = best + 1
-        return memo[i]
-
-    return max(up_chain(i) for i in range(p.n))
+    return max(chain_heights(p.lt)), _max_antichain(p, (1 << p.n) - 1)
 
 
 def _max_antichain(p: Poset, domain: int) -> int:
@@ -243,11 +225,16 @@ def _max_antichain(p: Poset, domain: int) -> int:
     return best
 
 
+def is_chain_mask(p: Poset, mask: int) -> bool:
+    """True iff the elements selected by ``mask`` are pairwise comparable."""
+    return all(
+        not (mask & ~p.comparable_mask(i) & ~(1 << i)) for i in bit_indices(mask)
+    )
+
+
 def is_chain_poset(p: Poset) -> bool:
     """True iff all elements are pairwise comparable."""
-    return all(
-        p.comparable_mask(i) == ((1 << p.n) - 1) & ~(1 << i) for i in range(p.n)
-    )
+    return is_chain_mask(p, (1 << p.n) - 1)
 
 
 def is_antichain_poset(p: Poset) -> bool:
@@ -259,15 +246,13 @@ def _canonical_rows(p: Poset) -> tuple[int, ...]:
     n = p.n
     if n > CANONICAL_MAX:
         raise TooLarge(f"canonical form is limited to {CANONICAL_MAX} elements")
+    above = [bit_indices(row) for row in p.lt]
     best: tuple[int, ...] | None = None
     for perm in permutations(range(n)):
         rows = [0] * n
         for i in range(n):
-            rest = p.lt[i]
             packed = 0
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for j in above[i]:
                 packed |= 1 << perm[j]
             rows[perm[i]] = packed
         cand = tuple(rows)
@@ -334,9 +319,28 @@ def components(p: Poset) -> list[Poset]:
     return [sub for _, sub in sorted(found, key=key)]
 
 
-def _bits(mask: int) -> list[int]:
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def chain_heights(rows: Sequence[int]) -> list[int]:
+    """Size of the longest chain starting at each element and running
+    through its row: ``p.lt`` gives upward chains, ``dual(p).lt`` downward.
+
+    Rows are transitively closed, so every element in a row has a strictly
+    smaller row; visiting elements by increasing row size settles each
+    height before any row that contains it.
+    """
+    heights = [0] * len(rows)
+    for i in sorted(range(len(rows)), key=lambda i: rows[i].bit_count()):
+        best = 0
+        for j in bit_indices(rows[i]):
+            if heights[j] > best:
+                best = heights[j]
+        heights[i] = best + 1
+    return heights

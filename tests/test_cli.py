@@ -112,12 +112,17 @@ def test_classify_negative_is_not_an_error(capsys, fig3_file):
     assert code == 0 and err == ""
 
 
-def test_classify_dot(capsys, fig3_file):
+def test_classify_dot(capsys, fig3_file, tmp_path):
     code, out, _ = run(capsys, "classify", fig3_file, "--dot")
     assert code == 0
     assert out.startswith("digraph poset {")
     assert '"1" -> "2";' in out
     assert '"1" -> "3";' not in out  # covers only
+    odd = tmp_path / "odd.poset"
+    odd.write_text('elem a"b c\\d\na"b < c\\d\n', encoding="utf-8")
+    code, out, _ = run(capsys, "classify", str(odd), "--dot")
+    assert code == 0
+    assert '  "a\\"b";\n  "c\\\\d";\n  "a\\"b" -> "c\\\\d";\n' in out
 
 
 def test_embed_command(capsys, chain_file, fig3_file):
@@ -236,6 +241,32 @@ def test_exit_code_semantic_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env, data, want",
+    [
+        (["classify", "{file}"], None, b"elem \xff\xfe\n", 1),
+        (["pinboard", "theta", "pin (w2,12) (7,aleph3)", "pin (w1*0,1)"], None, None, 1),
+        (["pinboard", "theta", "pin (w2,12) (7,aleph3)", "pin (3,\u00b2)"], None, None, 1),
+        (["pinboard", "theta", "pin (w2,12) (7,aleph3)", "pin (3," + "9" * 5000 + ")"], None, None, 1),
+        (["oracle", "{file}"], "abc", b"elem a b\n", 2),
+    ],
+    ids=["not-utf8", "zero-multiplicity", "superscript-count", "long-count", "bad-max-n"],
+)
+def test_bad_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, env, data, want):
+    path = tmp_path / "in.poset"
+    if data is not None:
+        path.write_bytes(data)
+    if env is not None:
+        monkeypatch.setenv("SUBREP_MAX_N", env)
+    code, out, err = run(capsys, *[a.replace("{file}", str(path)) for a in argv])
+    assert code == want
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if env is not None:
+        assert "SUBREP_MAX_N" in err and repr(env) in err
+
+
 def test_exit_code_cycle_is_semantic(capsys, tmp_path):
     cyc = tmp_path / "cyc.poset"
     cyc.write_text("elem a b\na < b\nb < a\n", encoding="utf-8")
@@ -250,6 +281,7 @@ def test_demo_section2_golden(capsys):
     assert "reverse: false" in out
     assert "[8, w0)  height 5  (aleph0 columns)" in out
     assert "[9, w1)  height 6  (aleph1 columns)" in out
+    assert out == DEMO_SECTION2
 
 
 def test_demo_fig1_table(capsys):
@@ -258,6 +290,7 @@ def test_demo_fig1_table(capsys):
     assert "{1} -> {3}" in out
     assert "{1,2,3,4} -> {1,2,3,4}" in out
     assert "violations: 0" in out
+    assert out == DEMO_FIG1
 
 
 def test_demo_fig3(capsys):
@@ -265,6 +298,7 @@ def test_demo_fig3(capsys):
     assert code == 0
     assert "wedge embeds at: {1,3,4}; {2,3,4}" in out
     assert "exhausted, no map exists" in out
+    assert out == DEMO_FIG3
 
 
 def test_demos_are_deterministic(capsys):
@@ -273,3 +307,81 @@ def test_demos_are_deterministic(capsys):
         _, out, _ = run(capsys, "demo", "section2")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# Full demo stdout, byte for byte.
+
+DEMO_FIG1 = """\
+witnessing map for the four-point flower (1 < 2, 2 < 3, 2 < 4):
+  {1} -> {3}
+  {2} -> {3}
+  {1,2} -> {2,3}
+  {3} -> {3}
+  {1,3} -> {2,3}
+  {2,3} -> {2,3}
+  {1,2,3} -> {1,2,3}
+  {4} -> {3}
+  {1,4} -> {2,3}
+  {2,4} -> {2,3}
+  {1,2,4} -> {1,2,3}
+  {3,4} -> {3,4}
+  {1,3,4} -> {2,3,4}
+  {2,3,4} -> {2,3,4}
+  {1,2,3,4} -> {1,2,3,4}
+violations: 0
+"""
+
+DEMO_FIG3 = """\
+poset: 1 < 2, 2 < 3, 4 < 3
+wedge embeds at: {1,3,4}; {2,3,4}
+two-point chains inside those images: {1,3}; {2,3}; {3,4}
+points incomparable to {1,3}: none
+points incomparable to {2,3}: none
+points incomparable to {3,4}: none
+{1,2,4} is a two-point chain plus an incomparable point, so it has no candidate image
+{
+  "kind": "notSubRepresentable",
+  "subRepresentable": false,
+  "witness": {
+    "patterns": [
+      {
+        "pattern": "long_arm_wedge",
+        "map": {
+          "a": "1",
+          "b": "2",
+          "c": "3",
+          "d": "4"
+        }
+      }
+    ]
+  }
+}
+oracle: exhausted, no map exists
+"""
+
+DEMO_SECTION2 = """\
+host: pin (w2,12) (7,aleph3)
+theta(Y):
+  [0, 1)  height w1+1  (1 column)
+  [1, 2)  height w1  (1 column)
+  [2, 4)  height w0+5  (2 columns)
+  [4, 5)  height w0  (1 column)
+  [5, 7)  height 30  (2 columns)
+  [7, 8)  height 20  (1 column)
+  [8, w0)  height 5  (aleph0 columns)
+  elsewhere  height 0
+theta(Y'):
+  [0, 2)  height w2  (2 columns)
+  [2, 3)  height w1+10  (1 column)
+  [3, 4)  height w1  (1 column)
+  [4, 5)  height w0  (1 column)
+  [5, 6)  height 60  (1 column)
+  [6, 7)  height 40  (1 column)
+  [7, 8)  height 30  (1 column)
+  [8, 9)  height 20  (1 column)
+  [9, w1)  height 6  (aleph1 columns)
+  elsewhere  height 0
+subset: true
+reverse: false
+embeds: true
+"""

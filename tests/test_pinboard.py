@@ -237,6 +237,16 @@ def test_normalization_preserves_embeddability_class():
         assert sr.pin_embeds(before, after) and sr.pin_embeds(after, before)
 
 
+def test_finite_entry_absorbed_under_infinite_frequency():
+    """Three chains fit inside aleph0 taller chains, so (3,1) goes: the
+    subset then embeds into (5,aleph0) by theta as well as by pin_embeds."""
+    y = sr.normalize_subset([(fin(5), Card.aleph(0)), (fin(3), Card.fin(1))], HOST)
+    assert y.pairs == ((fin(5), Card.aleph(0)),)
+    y2 = sr.normalize_subset([(fin(5), Card.aleph(0))], HOST)
+    assert sr.pin_embeds(y, y2)
+    assert sr.theta_subset(sr.theta(HOST, y), sr.theta(HOST, y2))
+
+
 def test_absorption_needs_infinite_frequency():
     """With all-finite data nothing is dropped, so the finite-scale
     equivalence tests see normalization as the identity."""
@@ -263,6 +273,20 @@ def _random_symbolic_subset(rng):
         freq = rng.choice([Card.fin(rng.randint(1, 5)), Card.aleph(rng.randint(0, 2))])
         pairs.append((fin(h), freq))
     return sr.normalize_subset(pairs, HOST)
+
+
+def test_theta_subset_matches_pin_embeds_symbolic():
+    """theta containment coincides with embeddability on infinite data too,
+    and mutually embeddable subsets get identical theta tables."""
+    rng = random.Random(4242)
+    subsets = [_random_symbolic_subset(rng) for _ in range(200)]
+    tables = [sr.theta(HOST, y) for y in subsets]
+    for y, t in zip(subsets, tables):
+        for y2, t2 in zip(subsets, tables):
+            embeds = sr.pin_embeds(y, y2)
+            assert sr.theta_subset(t, t2) == embeds, (y.pairs, y2.pairs)
+            if embeds and sr.pin_embeds(y2, y):
+                assert t.runs == t2.runs
 
 
 def test_pin_embeds_and_theta_subset_are_preorders():

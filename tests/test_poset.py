@@ -1,11 +1,13 @@
 """Poset construction, structural queries, and canonical forms."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import subrep as sr
+from subrep.poset import chain_heights, is_chain_mask
 from conftest import fig1_poset, fig3_poset, random_poset
 
 
@@ -157,3 +159,47 @@ def test_validator_rejects_non_transitive():
 def test_validator_rejects_antisymmetry_violation():
     with pytest.raises(sr.CycleDetected):
         sr.Poset(("a", "b"), (2, 1))
+
+
+def _pairwise_chain(p, mask):
+    idx = [i for i in range(p.n) if (mask >> i) & 1]
+    return all(p.less(i, j) or p.less(j, i) for i in idx for j in idx if i != j)
+
+
+def test_is_chain_mask_matches_pairwise(classes_by_n):
+    for classes in classes_by_n.values():
+        for p in classes:
+            for mask in range(1 << p.n):
+                assert is_chain_mask(p, mask) == _pairwise_chain(p, mask)
+            assert sr.is_chain_poset(p) == _pairwise_chain(p, (1 << p.n) - 1)
+
+
+def _longest_chain_from(p, i):
+    """Size of the largest chain whose least element is i, over all subsets."""
+    return max(
+        m.bit_count()
+        for m in range(1 << p.n)
+        if (m >> i) & 1
+        and _pairwise_chain(p, m)
+        and all(p.less(i, j) for j in range(p.n) if j != i and (m >> j) & 1)
+    )
+
+
+def test_chain_heights_match_longest_chain(classes_by_n):
+    """Upward heights, and downward ones as the upward heights of the dual."""
+    for classes in classes_by_n.values():
+        for p in classes:
+            for q in (p, sr.dual(p)):
+                assert chain_heights(q.lt) == [_longest_chain_from(q, i) for i in range(q.n)]
+
+
+def test_bit_tricks_live_in_the_kernel():
+    """The lowest-set-bit idiom belongs to poset.py alone; other modules
+    call its helpers."""
+    src = Path(sr.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "poset.py" and "& -" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
