@@ -101,12 +101,12 @@ def is_coflower(p: Poset) -> str | None:
 
 
 def is_union_of_chains(p: Poset) -> list[Poset] | None:
-    """Component chains sorted by height descending, or None if some
-    component is not a chain."""
+    """Component chains sorted by height descending, ties by least element
+    index, or None if some component is not a chain."""
     parts = components(p)
     if not all(is_chain_poset(c) for c in parts):
         return None
-    return parts  # components() already orders largest first, then canonically
+    return parts  # components() already orders largest first, then by index
 
 
 def classify_finite(p: Poset) -> Verdict:

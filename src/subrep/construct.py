@@ -11,6 +11,8 @@ checks any candidate table against the definition, exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Mapping
 
 from .classify import VerdictKind, classify_finite
@@ -26,8 +28,8 @@ from .poset import (
     subposet,
 )
 
-#: Exhaustive verification walks all pairs of subsets; cap the exponent.
-VERIFY_MAX = 14
+#: A witnessing table has one entry per nonempty subset; cap its size.
+TABLE_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,11 @@ class Violation:
 def build_g(p: Poset) -> SubRepMap:
     """Witnessing map for a sub-representable finite poset.
 
-    Raises NotSubRepresentable when the classifier refuses p.
+    Raises NotSubRepresentable when the classifier refuses p, and TooLarge
+    above ``TABLE_MAX`` elements.
     """
+    if p.n > TABLE_MAX:
+        raise TooLarge(f"witnessing tables are limited to {TABLE_MAX} elements, got {p.n}")
     verdict = classify_finite(p)
     if not verdict.sub_representable:
         raise NotSubRepresentable("no witnessing map exists for this poset")
@@ -84,21 +89,23 @@ def _flower_table(p: Poset, center: int) -> dict[int, int]:
     top = bit_indices(p.above_mask(center))
     stem = sorted(bit_indices(p.below_mask(center)), key=lambda i: -p.below_mask(i).bit_count())
     spine = [center] + stem  # positions k+1, k+2, ... of the labeling
+    top_prefix = _prefix_masks(top)
+    spine_prefix = _prefix_masks(spine)
     table: dict[int, int] = {}
     for mask in range(1, 1 << p.n):
         r = sum(1 for i in top if (mask >> i) & 1)
         chain_part = sum(1 for i in spine if (mask >> i) & 1)
         if r >= 2 and chain_part >= 1:  # sub-flower of height m, width r
             m = chain_part + 1
-            image = _mask_from(spine[: m - 1]) | _mask_from(top[:r])
+            image = spine_prefix[m - 1] | top_prefix[r]
         elif r >= 2:
-            image = _mask_from(top[:r])  # antichain of size r
+            image = top_prefix[r]  # antichain of size r
         else:
             m = chain_part + r
             if m == 1:
                 image = 1 << top[0]
             else:
-                image = (1 << top[0]) | _mask_from(spine[: m - 1])
+                image = (1 << top[0]) | spine_prefix[m - 1]
         table[mask] = image
     return table
 
@@ -109,60 +116,68 @@ def _chain_union_table(
     """Images inside a disjoint union of chains: the subset's traces,
     largest first, land on the bottoms of the chains in the fixed
     descending order (the classifier's witness order)."""
-    chain_masks = []
-    chain_bottoms_up = []
+    prefixes = []  # per chain, masks of its bottom k elements
     for c in chains:
         idx = sorted((p.index(name) for name in c),
                      key=lambda i: p.below_mask(i).bit_count())
-        chain_masks.append(_mask_from(idx))
-        chain_bottoms_up.append(idx)
+        prefixes.append(_prefix_masks(idx))
     table: dict[int, int] = {}
     for mask in range(1, 1 << p.n):
         sizes = sorted(
-            ((mask & cm).bit_count() for cm in chain_masks), reverse=True
+            ((mask & pre[-1]).bit_count() for pre in prefixes), reverse=True
         )
         image = 0
         for slot, size in enumerate(sizes):
             if size == 0:
                 break
-            image |= _mask_from(chain_bottoms_up[slot][:size])
+            image |= prefixes[slot][size]
         table[mask] = image
     return table
+
+
+def _prefix_masks(indices: list[int]) -> list[int]:
+    """Entry k is the mask of ``indices[:k]``."""
+    return list(accumulate((1 << i for i in indices), or_, initial=0))
+
+
+def subset_classes(p: Poset) -> tuple[list[list[int]], list[list[bool]]]:
+    """The nonempty subsets of p grouped into isomorphism classes, and
+    embeddability between the classes.
+
+    Each class is an ascending list of subset masks; classes are ordered by
+    subset size, then by canonical code. ``can_embed[i][j]`` tells whether
+    the subsets of class i embed into those of class j.
+    """
+    by_code: dict[bytes, list[int]] = {}
+    for mask in range(1, 1 << p.n):
+        by_code.setdefault(canonical_code(subposet(p, mask)), []).append(mask)
+    codes = sorted(by_code, key=lambda c: (by_code[c][0].bit_count(), c))
+    classes = [by_code[c] for c in codes]
+    reps = [subposet(p, group[0]) for group in classes]
+    can_embed = [[embeds(a, b) for b in reps] for a in reps]
+    return classes, can_embed
 
 
 def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
     """All violations of the two defining conditions, checked over every
     ordered pair of nonempty subsets. Empty list means g witnesses
-    sub-representability."""
-    if p.n > VERIFY_MAX:
-        raise TooLarge(f"verification is limited to {VERIFY_MAX} elements")
-    masks = list(range(1, 1 << p.n))
+    sub-representability. Subsets are compared by isomorphism class, so
+    the size limit is canonical labelling's, ``CANONICAL_MAX``.
+    """
+    if p.n > CANONICAL_MAX:
+        raise TooLarge(f"verification is limited to {CANONICAL_MAX} elements, got {p.n}")
+    masks = range(1, 1 << p.n)
     missing = [m for m in masks if m not in g.table]
     if missing:
         raise PartialMap(f"map undefined on {len(missing)} nonempty subsets")
-
-    codes: dict[int, bytes | None] = {}
-    subs: dict[int, Poset] = {}
-    for m in masks:
-        sub = subposet(p, m)
-        subs[m] = sub
-        codes[m] = canonical_code(sub) if sub.n <= CANONICAL_MAX else None
-
-    pair_cache: dict[tuple[bytes, bytes], bool] = {}
-
-    def emb(a: int, b: int) -> bool:
-        ca, cb = codes[a], codes[b]
-        if ca is None or cb is None:
-            return embeds(subs[a], subs[b])
-        key = (ca, cb)
-        if key not in pair_cache:
-            pair_cache[key] = embeds(subs[a], subs[b])
-        return pair_cache[key]
+    classes, can_embed = subset_classes(p)
+    cls = {mask: i for i, group in enumerate(classes) for mask in group}
+    table = g.table
 
     out: list[Violation] = []
     for s in masks:
-        image = g.table[s]
-        if not emb(s, image):
+        image = table[s]
+        if not can_embed[cls[s]][cls[image]]:
             out.append(
                 Violation(
                     "equivalence",
@@ -171,7 +186,7 @@ def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
                     "subset does not embed into its representative",
                 )
             )
-        elif not emb(image, s):
+        elif not can_embed[cls[image]][cls[s]]:
             out.append(
                 Violation(
                     "equivalence",
@@ -181,10 +196,11 @@ def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
                 )
             )
     for s1 in masks:
-        img1 = g.table[s1]
+        img1 = table[s1]
+        row = can_embed[cls[s1]]
         for s2 in masks:
-            included = img1 & ~g.table[s2] == 0
-            if emb(s1, s2) != included:
+            included = img1 & ~table[s2] == 0
+            if row[cls[s2]] != included:
                 out.append(
                     Violation(
                         "embeds-vs-inclusion",
@@ -196,10 +212,3 @@ def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
                     )
                 )
     return out
-
-
-def _mask_from(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m

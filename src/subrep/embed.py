@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 
-from .poset import Poset, bit_indices, canonical_code, chain_heights, poset_from_cover
+from .poset import Poset, bit_indices, chain_heights, poset_from_cover
 
 
 class PatternKind(Enum):
@@ -70,20 +70,19 @@ def pattern_poset(kind: PatternKind) -> Poset:
     return poset_from_cover(names, covers)
 
 
-@cache
 def obstruction_patterns() -> tuple[PatternKind, ...]:
-    """The seven four-point shapes that block sub-representability,
-    ordered by canonical code."""
-    seven = (
-        PatternKind.DIAMOND,
+    """The seven four-point shapes that block sub-representability, in the
+    order of their canonical codes, pinned so that negative witnesses keep
+    their bytes whatever labeller computes the codes."""
+    return (
         PatternKind.VEE_PLUS_POINT,
         PatternKind.WEDGE_PLUS_POINT,
-        PatternKind.LONG_ARM_VEE,
-        PatternKind.LONG_ARM_WEDGE,
-        PatternKind.CROWN,
         PatternKind.FENCE,
+        PatternKind.LONG_ARM_VEE,
+        PatternKind.CROWN,
+        PatternKind.LONG_ARM_WEDGE,
+        PatternKind.DIAMOND,
     )
-    return tuple(sorted(seven, key=lambda k: canonical_code(pattern_poset(k))))
 
 
 def _element_stats(p: Poset) -> list[tuple[int, int, int, int]]:

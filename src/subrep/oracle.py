@@ -15,10 +15,9 @@ import os
 from dataclasses import dataclass
 
 from .classify import Verdict, classify_finite
-from .construct import SubRepMap
-from .embed import embeds
-from .errors import SubrepError, TooLarge
-from .poset import Poset, bit_indices, canonical_code, canonical_form, subposet
+from .construct import SubRepMap, subset_classes
+from .errors import EmptyPoset, SubrepError, TooLarge
+from .poset import Poset, bit_indices, canonical_code, canonical_form
 
 ORACLE_MAX_DEFAULT = 6
 ENUMERATE_MAX = 5
@@ -39,19 +38,8 @@ def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
             raise SubrepError(f"SUBREP_MAX_N must be an integer, not {raw!r}") from None
     if p.n > limit:
         raise TooLarge(f"oracle is limited to {limit} elements")
-    if p.n == 0:
-        return SubRepMap(p, {})
-
-    masks = list(range(1, 1 << p.n))
-    class_masks: dict[bytes, list[int]] = {}
-    for mask in masks:
-        class_masks.setdefault(canonical_code(subposet(p, mask)), []).append(mask)
-
-    codes = sorted(class_masks, key=lambda c: (class_masks[c][0].bit_count(), c))
-    reps = [subposet(p, class_masks[c][0]) for c in codes]
-    k = len(codes)
-    can_embed = [[embeds(reps[i], reps[j]) for j in range(k)] for i in range(k)]
-
+    classes, can_embed = subset_classes(p)
+    k = len(classes)
     chosen: list[int] = []
 
     def consistent(mask: int) -> bool:
@@ -66,7 +54,7 @@ def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
     def backtrack() -> bool:
         if len(chosen) == k:
             return True
-        for mask in class_masks[codes[len(chosen)]]:
+        for mask in classes[len(chosen)]:
             if consistent(mask):
                 chosen.append(mask)
                 if backtrack():
@@ -76,10 +64,7 @@ def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
 
     if not backtrack():
         return None
-    rep_of = dict(zip(codes, chosen))
-    table = {
-        mask: rep_of[code] for code, group in class_masks.items() for mask in group
-    }
+    table = {mask: rep for rep, group in zip(chosen, classes) for mask in group}
     return SubRepMap(p, table)
 
 
@@ -87,9 +72,9 @@ def enumerate_posets(n: int) -> list[Poset]:
     """All posets on n elements up to isomorphism, canonically labeled and
     ordered by canonical code."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise EmptyPoset(f"enumeration needs at least one element, got {n}")
     if n > ENUMERATE_MAX:
-        raise TooLarge(f"enumeration is limited to {ENUMERATE_MAX} elements")
+        raise TooLarge(f"enumeration is limited to {ENUMERATE_MAX} elements, got {n}")
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     names = tuple(f"x{i}" for i in range(n))
     seen: dict[bytes, Poset] = {}
@@ -124,11 +109,9 @@ class SurveyRow:
 def survey(n: int) -> list[SurveyRow]:
     """Classifier verdict and oracle verdict for every isomorphism class
     on n elements; any disagreement is visible on the row."""
-    if n > ENUMERATE_MAX:
-        raise TooLarge(f"survey is limited to {ENUMERATE_MAX} elements")
     rows = []
     for p in enumerate_posets(n):
         verdict = classify_finite(p)
-        witness = oracle_subrep(p, max_n=max(n, ORACLE_MAX_DEFAULT))
+        witness = oracle_subrep(p, max_n=ORACLE_MAX_DEFAULT)
         rows.append(SurveyRow(canonical_code(p), p, verdict, witness is not None))
     return rows

@@ -286,11 +286,11 @@ def _default_names(n: int) -> list[str]:
 def components(p: Poset) -> list[Poset]:
     """Connected components of the comparability graph, with induced order.
 
-    Largest component first; ties broken by canonical form, then by the
-    least original element index.
+    Largest component first; components of equal size keep the order of
+    their least element index, whatever their shape.
     """
     seen = 0
-    found: list[tuple[int, Poset]] = []
+    found: list[Poset] = []
     for i in range(p.n):
         if (seen >> i) & 1:
             continue
@@ -303,20 +303,8 @@ def components(p: Poset) -> list[Poset]:
             comp |= grow
             frontier |= grow
         seen |= comp
-        found.append((comp, subposet(p, comp)))
-
-    def key(item: tuple[int, Poset]) -> tuple[int, bytes, int]:
-        comp, sub = item
-        if sub.n <= CANONICAL_MAX:
-            code = canonical_code(sub)
-        else:
-            width = (sub.n + 7) // 8
-            code = b"\xff" + bytes([sub.n]) + b"".join(
-                row.to_bytes(width, "big") for row in sub.lt
-            )
-        return (-sub.n, code, (comp & -comp).bit_length())
-
-    return [sub for _, sub in sorted(found, key=key)]
+        found.append(subposet(p, comp))
+    return sorted(found, key=lambda sub: -sub.n)
 
 
 def bit_indices(mask: int) -> list[int]:

@@ -1,8 +1,11 @@
 """Command-line surface: text formats, JSON output, demos, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subrep as sr
 from subrep import cli
@@ -241,6 +244,12 @@ def test_exit_code_semantic_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+SEVENTEEN_CHAIN = (
+    "elem " + " ".join(f"x{i}" for i in range(17)) + "\n"
+    + "".join(f"x{i} < x{i + 1}\n" for i in range(16))
+).encode()
+
+
 @pytest.mark.parametrize(
     "argv, env, data, want",
     [
@@ -249,8 +258,12 @@ def test_exit_code_semantic_error(capsys, tmp_path):
         (["pinboard", "theta", "pin (w2,12) (7,aleph3)", "pin (3,\u00b2)"], None, None, 1),
         (["pinboard", "theta", "pin (w2,12) (7,aleph3)", "pin (3," + "9" * 5000 + ")"], None, None, 1),
         (["oracle", "{file}"], "abc", b"elem a b\n", 2),
+        (["survey", "0"], None, None, 2),
+        (["survey", "-1"], None, None, 2),
+        (["subrep", "{file}"], None, SEVENTEEN_CHAIN, 2),
     ],
-    ids=["not-utf8", "zero-multiplicity", "superscript-count", "long-count", "bad-max-n"],
+    ids=["not-utf8", "zero-multiplicity", "superscript-count", "long-count", "bad-max-n",
+         "survey-zero", "survey-negative", "table-too-large"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, env, data, want):
     path = tmp_path / "in.poset"
@@ -385,3 +398,77 @@ subset: true
 reverse: false
 embeds: true
 """
+
+
+# Fuzzed input to main(): every case exits 0, 1 or 2 and prints no traceback.
+# The strategies mix well-formed text, which reaches the library, with noise.
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "1", '"', "\\", "é"])
+_DECLARED_POSET = st.tuples(
+    st.lists(_NAMES, min_size=1, max_size=8, unique=True),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10),
+).map(lambda t: [
+    "elem " + " ".join(t[0]),
+    *(f"{t[0][i % len(t[0])]} < {t[0][j % len(t[0])]}" for i, j in t[1]),
+])
+_POSET_LINE = st.one_of(
+    st.lists(_NAMES, max_size=8).map(lambda names: "elem " + " ".join(names)),
+    st.tuples(_NAMES, _NAMES).map(lambda pair: f"{pair[0]} < {pair[1]}"),
+    st.text(max_size=12),
+    st.just("# comment"),
+)
+_POSET_LINES = st.one_of(_DECLARED_POSET, st.lists(_POSET_LINE, max_size=10))
+
+_SMALL = st.integers(0, 20).map(str)
+_ODD_NUMBER = st.sampled_from(["9" * 5000, "\u00b2", "-1", ""])
+_ORDINAL = st.one_of(
+    _SMALL,
+    st.integers(0, 3).map(lambda k: f"w{k}"),
+    st.tuples(st.integers(0, 3), st.integers(1, 3), _SMALL).map(
+        lambda t: f"w{t[0]}*{t[1]}+{t[2]}"
+    ),
+)
+_CARDINAL = st.one_of(_SMALL, st.integers(0, 3).map(lambda k: f"aleph{k}"))
+_PAIR = st.tuples(_ORDINAL, _CARDINAL).map(lambda t: f"({t[0]},{t[1]})")
+_ODD_PAIR = st.tuples(
+    st.one_of(_ORDINAL, _ODD_NUMBER, st.text(max_size=4)),
+    st.one_of(_CARDINAL, _ODD_NUMBER, st.text(max_size=4)),
+).map(lambda t: f"({t[0]},{t[1]})")
+_PAIR_LIST = st.one_of(
+    st.lists(_PAIR, min_size=1, max_size=4).map(lambda pairs: " ".join(["pin", *pairs])),
+    st.tuples(
+        st.sampled_from(["pin", "copin", "pon"]), st.lists(st.one_of(_PAIR, _ODD_PAIR), max_size=4)
+    ).map(lambda t: " ".join([t[0], *t[1]])),
+)
+_HOST = st.one_of(
+    st.sampled_from(["pin (w2,12) (7,aleph3)", "pin (w1,20) (9,aleph0)", "copin (w1,3) (4,aleph0)"]),
+    _PAIR_LIST,
+)
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(lines=_POSET_LINES, dot=st.booleans())
+def test_fuzzed_poset_files_never_raise(tmp_path_factory, lines, dot):
+    path = tmp_path_factory.getbasetemp() / "fuzz.poset"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    _main_outcome(["classify", *(["--dot"] if dot else []), str(path)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(host=_HOST, subsets=st.lists(_PAIR_LIST, min_size=1, max_size=2))
+def test_fuzzed_pair_lists_never_raise(host, subsets):
+    action = "theta" if len(subsets) == 1 else "embed"
+    _main_outcome(["pinboard", action, host, *subsets])
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(-5, 3), as_json=st.booleans())
+def test_fuzzed_survey_sizes_never_raise(n, as_json):
+    _main_outcome(["survey", str(n), *(["--json"] if as_json else [])])

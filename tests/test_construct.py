@@ -5,6 +5,7 @@ import random
 import pytest
 
 import subrep as sr
+from subrep.poset import CANONICAL_MAX
 from conftest import fig1_poset, random_poset, random_positive_poset
 
 
@@ -79,6 +80,22 @@ def test_verify_guard():
     p = sr.antichain([f"x{i}" for i in range(15)])
     with pytest.raises(sr.TooLarge):
         sr.verify_subrep(p, sr.SubRepMap(p, {}))
+    p = sr.antichain([f"x{i}" for i in range(CANONICAL_MAX + 1)])
+    with pytest.raises(sr.TooLarge, match=f"limited to {CANONICAL_MAX} elements, got 11"):
+        sr.verify_subrep(p, sr.SubRepMap(p, {}))
+
+
+def test_classification_never_labels(classes_by_n, monkeypatch):
+    """Canonical labelling is for comparing subsets, not for verdicts."""
+
+    def refuse(p):
+        raise AssertionError("canonical labelling called")
+
+    monkeypatch.setattr("subrep.poset._canonical_rows", refuse)
+    for classes in classes_by_n.values():
+        for p in classes:
+            if sr.classify_finite(p).sub_representable:
+                sr.build_g(p)
 
 
 def test_table_constant_on_isomorphism_classes_and_idempotent():

@@ -113,3 +113,5 @@ def test_obstructions_are_seven_distinct_four_point_posets():
     assert len(codes) == 7
     assert all(sr.pattern_poset(k).n == 4 for k in kinds)
     assert sr.PatternKind.DIAMOND in kinds
+    pinned = [sr.canonical_code(sr.pattern_poset(k)) for k in kinds]
+    assert pinned == sorted(pinned)

@@ -127,6 +127,15 @@ def test_components_examples():
     assert len(sr.components(sr.antichain("wxyz"))) == 4
 
 
+def test_components_order_by_size_then_least_index():
+    vee = sr.poset_from_cover("abc", [("a", "b"), ("a", "c")])
+    wedge = sr.poset_from_cover("xyz", [("x", "z"), ("y", "z")])
+    point = sr.antichain(["p"])
+    for first, second in ((vee, wedge), (wedge, vee)):
+        p = sr.disjoint_union(point, first, second)
+        assert sr.components(p) == [first, second, point]
+
+
 def test_components_partition_and_induced():
     rng = random.Random(5)
     for _ in range(30):
