@@ -242,6 +242,9 @@ class PosetDescriptor:
         elif self.kind in ("pinboard", "co_pinboard"):
             if self.board is None:
                 raise InvalidDescriptor("pinboard descriptor needs a pinboard")
+            if self.board.starred != (self.kind == "co_pinboard"):
+                raise InvalidDescriptor(
+                    "pinboard needs an unstarred board, co_pinboard a starred one")
         elif self.kind in ("flower", "co_flower"):
             if self.stem_chain is None or self.width is None:
                 raise InvalidDescriptor("flower descriptors need a stem and a width")

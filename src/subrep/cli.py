@@ -267,7 +267,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _format_runs(segs: ThetaSegments) -> list[str]:
-    star = "*" if segs.starred else ""
+    star = "*" if segs.host.starred else ""
     lines = []
     for start, end, count, height in run_positions(segs):
         cols = "column" if (not count.is_infinite and count.value == 1) else "columns"

@@ -95,18 +95,10 @@ def _flower_table(p: Poset, center: int) -> dict[int, int]:
     for mask in range(1, 1 << p.n):
         r = sum(1 for i in top if (mask >> i) & 1)
         chain_part = sum(1 for i in spine if (mask >> i) & 1)
-        if r >= 2 and chain_part >= 1:  # sub-flower of height m, width r
-            m = chain_part + 1
-            image = spine_prefix[m - 1] | top_prefix[r]
-        elif r >= 2:
-            image = top_prefix[r]  # antichain of size r
-        else:
-            m = chain_part + r
-            if m == 1:
-                image = 1 << top[0]
-            else:
-                image = (1 << top[0]) | spine_prefix[m - 1]
-        table[mask] = image
+        if r >= 2:  # sub-flower of width r and stem chain_part (an antichain if 0)
+            table[mask] = spine_prefix[chain_part] | top_prefix[r]
+        else:  # chain of chain_part + r points: x_1 over the top of the spine
+            table[mask] = top_prefix[1] | spine_prefix[chain_part + r - 1]
     return table
 
 
@@ -170,6 +162,9 @@ def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
     missing = [m for m in masks if m not in g.table]
     if missing:
         raise PartialMap(f"map undefined on {len(missing)} nonempty subsets")
+    stray = [m for m in masks if not 0 < g.table[m] < 1 << p.n]
+    if stray:
+        raise PartialMap(f"map sends {len(stray)} subsets outside the nonempty subsets")
     classes, can_embed = subset_classes(p)
     cls = {mask: i for i, group in enumerate(classes) for mask in group}
     table = g.table

@@ -30,7 +30,7 @@ class NotSubRepresentable(SubrepError):
 
 
 class PartialMap(SubrepError):
-    """A candidate map is not defined on every nonempty subset."""
+    """A candidate map is undefined on some nonempty subset, or sends one outside them."""
 
 
 class InvalidDescriptor(SubrepError):

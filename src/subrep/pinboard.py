@@ -99,12 +99,9 @@ class PinSubset:
 
     host: SimplePinboard
     pairs: tuple[Pair, ...]
-    starred: bool = False
 
 
-def normalize_subset(
-    raw: Iterable[Pair], host: SimplePinboard, starred: bool | None = None
-) -> PinSubset:
+def normalize_subset(raw: Iterable[Pair], host: SimplePinboard) -> PinSubset:
     """Merge duplicate heights, drop absorbed entries, and fit-check.
 
     An entry (h', f') is absorbed by any taller entry (h, f) with f
@@ -112,10 +109,6 @@ def normalize_subset(
     for the f' shorter ones, so removing the entry does not change the
     embeddability class of the subset.
     """
-    if starred is None:
-        starred = host.starred
-    elif starred != host.starred:
-        raise HostMismatch("subset and host must agree on orientation")
     kept = []
     widest: Card | None = None  # largest infinite frequency seen, tallest first
     for h, f in _merge_pairs(raw):
@@ -127,7 +120,7 @@ def normalize_subset(
         if f.is_infinite:
             widest = f
     _check_fit(kept, host)
-    return PinSubset(host, tuple(kept), starred)
+    return PinSubset(host, tuple(kept))
 
 
 def _check_fit(pairs: list[Pair], host: SimplePinboard) -> None:
@@ -157,15 +150,14 @@ class ThetaSegments:
 
     host: SimplePinboard
     runs: tuple[tuple[Card, OrdinalExpr], ...]
-    starred: bool = False
 
 
 def theta(host: SimplePinboard, y: PinSubset) -> ThetaSegments:
     """Column assignment for a normalized subset: its pairs, tallest
     first, occupy consecutive column blocks of the host."""
-    if y.host != host or y.starred != host.starred:
+    if y.host != host:
         raise HostMismatch("subset was normalized against a different host")
-    return ThetaSegments(host, tuple((f, h) for h, f in y.pairs), y.starred)
+    return ThetaSegments(host, tuple((f, h) for h, f in y.pairs))
 
 
 def run_positions(
@@ -199,7 +191,7 @@ def theta_subset(a: ThetaSegments, b: ThetaSegments) -> bool:
     holds iff at every height threshold of a, the block of a-columns
     reaching it is no longer (as an ordinal position) than b's block.
     """
-    if a.host != b.host or a.starred != b.starred:
+    if a.host != b.host:
         raise HostMismatch("segment tables belong to different hosts")
     for _, height in a.runs:
         if ord_cmp(_cumulative_ordinal(a, height), _cumulative_ordinal(b, height)) > 0:
@@ -219,7 +211,7 @@ def pin_embeds(y: PinSubset, y2: PinSubset) -> bool:
     """Embeddability of subset posets by the cumulative-frequency test:
     for every height of y, the columns of y at least that tall must fit
     injectively among the columns of y2 at least that tall."""
-    if y.host != y2.host or y.starred != y2.starred:
+    if y.host != y2.host:
         raise HostMismatch("subsets belong to different hosts")
     for height, _ in y.pairs:
         if card_cmp(_cumulative_card(y.pairs, height), _cumulative_card(y2.pairs, height)) > 0:
@@ -233,11 +225,9 @@ CoDualable = Union[Pinboard, PinSubset, ThetaSegments]
 def co_dual(x: CoDualable) -> CoDualable:
     """Flip between a pinboard-style value and its co-form (chains read
     upside down). Applying it twice is the identity."""
-    if isinstance(x, PinSubset):
-        return PinSubset(replace(x.host, starred=not x.starred), x.pairs, not x.starred)
-    if isinstance(x, ThetaSegments):
-        return ThetaSegments(replace(x.host, starred=not x.starred), x.runs, not x.starred)
-    return replace(x, starred=not x.starred)
+    if isinstance(x, Pinboard):
+        return replace(x, starred=not x.starred)
+    return replace(x, host=replace(x.host, starred=not x.host.starred))
 
 
 def pinboard_poset(pb: Pinboard | PinSubset) -> Poset:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 
@@ -20,19 +21,21 @@ def fig3_poset() -> sr.Poset:
     return sr.poset_from_cover("1234", [("1", "2"), ("2", "3"), ("4", "3")])
 
 
-def embeds_exhaustive(p1: sr.Poset, p2: sr.Poset) -> bool:
-    """Independent embedding oracle: try every injection outright."""
-    n1, n2 = p1.n, p2.n
-    if n1 > n2:
-        return False
-    for image in itertools.permutations(range(n2), n1):
+def embeddings_exhaustive(p1: sr.Poset, p2: sr.Poset) -> Iterator[tuple[int, ...]]:
+    """Independent embedding oracle: try every injection outright, and
+    yield the image tuples that embed, in lexicographic order."""
+    n1 = p1.n
+    for image in itertools.permutations(range(p2.n), n1):
         if all(
             p1.less(i, j) == p2.less(image[i], image[j])
             for i in range(n1)
             for j in range(n1)
         ):
-            return True
-    return False
+            yield image
+
+
+def embeds_exhaustive(p1: sr.Poset, p2: sr.Poset) -> bool:
+    return next(embeddings_exhaustive(p1, p2), None) is not None
 
 
 def random_poset(rng: random.Random, n: int, p_edge: float = 0.4) -> sr.Poset:

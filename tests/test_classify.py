@@ -164,6 +164,11 @@ def test_descriptor_validation():
         sr.ChainDescriptor("well_ordered", None)
     with pytest.raises(sr.InvalidDescriptor):
         sr.PosetDescriptor("finite")
+    board = sr.pinboard([(omega(1), Card.fin(2)), (fin(3), Card.aleph(0))])
+    with pytest.raises(sr.InvalidDescriptor):
+        sr.PosetDescriptor.pinboard_poset(sr.co_dual(board))
+    with pytest.raises(sr.InvalidDescriptor):
+        sr.PosetDescriptor.co_pinboard_poset(board)
 
 
 def test_finite_union_matches_pinboard_encoding():

@@ -74,6 +74,9 @@ def test_verify_requires_total_map():
     p = sr.chain(["a", "b"])
     with pytest.raises(sr.PartialMap):
         sr.verify_subrep(p, sr.SubRepMap(p, {1: 1}))
+    for stray in (0, 8):  # the empty mask, and a mask outside the poset
+        with pytest.raises(sr.PartialMap, match="sends 1 subsets outside"):
+            sr.verify_subrep(p, sr.SubRepMap(p, {1: 1, 2: 1, 3: stray}))
 
 
 def test_verify_guard():

@@ -1,9 +1,12 @@
 """Embedding search against the exhaustive oracle, plus pattern detection."""
 
+import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 import subrep as sr
-from conftest import embeds_exhaustive, fig3_poset, random_poset
+from conftest import embeddings_exhaustive, embeds_exhaustive, fig3_poset, random_poset
 
 
 def test_wedge_into_fig3_witnesses():
@@ -66,6 +69,31 @@ def test_embeds_matches_exhaustive_oracle():
         p1 = random_poset(rng, rng.randint(0, 5), rng.uniform(0.2, 0.6))
         p2 = random_poset(rng, rng.randint(0, 6), rng.uniform(0.2, 0.6))
         assert sr.embeds(p1, p2) == embeds_exhaustive(p1, p2)
+
+
+@st.composite
+def _shuffled_poset(draw, max_n):
+    """Random poset whose element order is a shuffle of a linear extension,
+    so index order and the order relation are unrelated."""
+    n = draw(st.integers(0, max_n))
+    ranked = [f"v{i}" for i in range(n)]
+    covers = [(ranked[i], ranked[j]) for i, j in itertools.combinations(range(n), 2)
+              if draw(st.booleans())]
+    return sr.poset_from_cover(draw(st.permutations(ranked)), covers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p1=_shuffled_poset(5), p2=_shuffled_poset(7))
+def test_search_matches_brute_force_injections(p1, p2):
+    """embeds, find_embedding and all_embeddings against every injection,
+    tried in lexicographic order of the image tuple."""
+    maps = [
+        dict(zip(p1.elements, (p2.elements[t] for t in image)))
+        for image in embeddings_exhaustive(p1, p2)
+    ]
+    assert sr.embeds(p1, p2) == bool(maps)
+    assert sr.find_embedding(p1, p2) == (maps[0] if maps else None)
+    assert sr.all_embeddings(p1, p2) == maps
 
 
 def test_embeds_reflexive_transitive():

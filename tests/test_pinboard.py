@@ -5,6 +5,7 @@ import random
 import pytest
 
 import subrep as sr
+from subrep import cli
 from subrep.ordinal import Card, fin, omega
 
 
@@ -165,6 +166,18 @@ def test_co_dual_round_trip():
     co_fin = sr.co_dual(finite)
     p, q = sr.pinboard_poset(finite), sr.pinboard_poset(co_fin)
     assert sr.canonical_code(sr.dual(p)) == sr.canonical_code(q)
+    # a subset or table flips with its host, and the verdicts stay
+    rng = random.Random(5151)
+    subsets = [_random_symbolic_subset(rng) for _ in range(20)]
+    for y in subsets:
+        co_y, co_t = sr.co_dual(y), sr.co_dual(sr.theta(HOST, y))
+        assert co_y.host.starred and co_t.host == co_y.host
+        assert sr.co_dual(co_y) == y and sr.co_dual(co_t) == sr.theta(HOST, y)
+        assert sr.theta(co_y.host, co_y) == co_t
+        for y2 in subsets:
+            t, t2 = sr.theta(HOST, y), sr.theta(HOST, y2)
+            assert sr.pin_embeds(sr.co_dual(y), sr.co_dual(y2)) == sr.pin_embeds(y, y2)
+            assert sr.theta_subset(sr.co_dual(t), sr.co_dual(t2)) == sr.theta_subset(t, t2)
 
 
 def test_co_forms_compare_like_pinboards():
@@ -174,6 +187,15 @@ def test_co_forms_compare_like_pinboards():
     assert sr.pin_embeds(y, y2)
     assert not sr.pin_embeds(y2, y)
     assert sr.theta_subset(sr.theta(host, y), sr.theta(host, y2))
+    # orientation lives on the host, so a subset built on it directly
+    # goes through theta, and its runs print starred
+    assert sr.theta(host, sr.PinSubset(host, ())).runs == ()
+    y3 = sr.PinSubset(host, ((fin(3), Card.fin(2)), (fin(1), Card.aleph(0))))
+    assert cli._format_runs(sr.theta(host, y3)) == [
+        "  [0, 2)  height 3*  (2 columns)",
+        "  [2, w0)  height 1*  (aleph0 columns)",
+        "  elsewhere  height 0",
+    ]
 
 
 def _random_finite_instance(rng):
