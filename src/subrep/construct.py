@@ -16,7 +16,6 @@ from operator import or_
 from typing import Mapping
 
 from .classify import VerdictKind, classify_finite
-from .embed import embeds
 from .errors import NotSubRepresentable, PartialMap, TooLarge
 from .poset import (
     CANONICAL_MAX,
@@ -132,22 +131,32 @@ def _prefix_masks(indices: list[int]) -> list[int]:
     return list(accumulate((1 << i for i in indices), or_, initial=0))
 
 
-def subset_classes(p: Poset) -> tuple[list[list[int]], list[list[bool]]]:
-    """The nonempty subsets of p grouped into isomorphism classes, and
-    embeddability between the classes.
+def subset_classes(p: Poset) -> tuple[list[list[int]], list[int], list[list[bool]]]:
+    """The nonempty subsets of p grouped into isomorphism classes, the class
+    of every subset, and embeddability between the classes.
 
     Each class is an ascending list of subset masks; classes are ordered by
-    subset size, then by canonical code. ``can_embed[i][j]`` tells whether
-    the subsets of class i embed into those of class j.
+    subset size, then by canonical code. ``cls[mask]`` is the index of the
+    class holding ``mask`` (``cls[0]`` is unused). ``can_embed[i][j]`` tells
+    whether the subsets of class i embed into those of class j, which holds
+    exactly when some subset of class j's first mask lies in class i.
     """
     by_code: dict[bytes, list[int]] = {}
     for mask in range(1, 1 << p.n):
         by_code.setdefault(canonical_code(subposet(p, mask)), []).append(mask)
     codes = sorted(by_code, key=lambda c: (by_code[c][0].bit_count(), c))
     classes = [by_code[c] for c in codes]
-    reps = [subposet(p, group[0]) for group in classes]
-    can_embed = [[embeds(a, b) for b in reps] for a in reps]
-    return classes, can_embed
+    cls = [-1] * (1 << p.n)
+    for i, group in enumerate(classes):
+        for mask in group:
+            cls[mask] = i
+    can_embed = [[False] * len(classes) for _ in classes]
+    for j, group in enumerate(classes):
+        rep = sub = group[0]
+        while sub:
+            can_embed[cls[sub]][j] = True
+            sub = (sub - 1) & rep
+    return classes, cls, can_embed
 
 
 def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
@@ -165,8 +174,7 @@ def verify_subrep(p: Poset, g: SubRepMap) -> list[Violation]:
     stray = [m for m in masks if not 0 < g.table[m] < 1 << p.n]
     if stray:
         raise PartialMap(f"map sends {len(stray)} subsets outside the nonempty subsets")
-    classes, can_embed = subset_classes(p)
-    cls = {mask: i for i, group in enumerate(classes) for mask in group}
+    _, cls, can_embed = subset_classes(p)
     table = g.table
 
     out: list[Violation] = []

@@ -109,27 +109,7 @@ def _candidate_masks(p1: Poset, p2: Poset) -> list[int] | None:
     return cand
 
 
-def _constrained_order(p1: Poset) -> list[int]:
-    """Source order for the search: most-constrained first, staying inside
-    the comparability component already being assigned."""
-    stats = _element_stats(p1)
-    score = [s[0] + s[1] + s[2] + s[3] for s in stats]
-    remaining = set(range(p1.n))
-    order: list[int] = []
-    touched = 0
-    while remaining:
-        linked = [i for i in remaining if (touched >> i) & 1]
-        pool = linked or list(remaining)
-        nxt = max(pool, key=lambda i: (score[i], -i))
-        order.append(nxt)
-        remaining.remove(nxt)
-        touched |= p1.comparable_mask(nxt)
-    return order
-
-
-def _search(
-    p1: Poset, p2: Poset, order: list[int], limit: int | None = 1
-) -> list[tuple[int, ...]]:
+def _search(p1: Poset, p2: Poset, limit: int | None = 1) -> list[tuple[int, ...]]:
     n1 = p1.n
     if n1 > p2.n:
         return []
@@ -141,23 +121,21 @@ def _search(
     image = [-1] * n1
     found: list[tuple[int, ...]] = []
 
-    def rec(k: int, used: int) -> bool:
-        if k == n1:
+    def rec(s: int, used: int) -> bool:
+        if s == n1:
             found.append(tuple(image))
             return limit is not None and len(found) >= limit
-        s = order[k]
         for t in bit_indices(cand[s] & ~used):
             ok = True
-            for prev in order[:k]:
+            for prev in range(s):
                 tp = image[prev]
                 if p1.less(s, prev) != p2.less(t, tp) or p1.less(prev, s) != p2.less(tp, t):
                     ok = False
                     break
             if ok:
                 image[s] = t
-                if rec(k + 1, used | (1 << t)):
+                if rec(s + 1, used | (1 << t)):
                     return True
-                image[s] = -1
         return False
 
     rec(0, 0)
@@ -166,7 +144,7 @@ def _search(
 
 def embeds(p1: Poset, p2: Poset) -> bool:
     """True iff p1 is isomorphic to a subset of p2 (induced order)."""
-    return bool(_search(p1, p2, _constrained_order(p1)))
+    return bool(_search(p1, p2))
 
 
 def find_embedding(p1: Poset, p2: Poset) -> dict[str, str] | None:
@@ -175,7 +153,7 @@ def find_embedding(p1: Poset, p2: Poset) -> dict[str, str] | None:
     Sources are assigned in element-index order and targets tried in
     ascending index, so the returned map is lexicographically least.
     """
-    hits = _search(p1, p2, list(range(p1.n)))
+    hits = _search(p1, p2)
     if not hits:
         return None
     image = hits[0]
@@ -184,7 +162,7 @@ def find_embedding(p1: Poset, p2: Poset) -> dict[str, str] | None:
 
 def all_embeddings(p1: Poset, p2: Poset) -> list[dict[str, str]]:
     """Every embedding of p1 into p2, in lexicographic order."""
-    hits = _search(p1, p2, list(range(p1.n)), limit=None)
+    hits = _search(p1, p2, limit=None)
     return [
         {p1.elements[i]: p2.elements[image[i]] for i in range(p1.n)}
         for image in hits

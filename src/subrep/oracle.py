@@ -37,8 +37,8 @@ def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
         except ValueError:
             raise SubrepError(f"SUBREP_MAX_N must be an integer, not {raw!r}") from None
     if p.n > limit:
-        raise TooLarge(f"oracle is limited to {limit} elements")
-    classes, can_embed = subset_classes(p)
+        raise TooLarge(f"oracle is limited to {limit} elements, got {p.n}")
+    classes, _, can_embed = subset_classes(p)
     k = len(classes)
     chosen: list[int] = []
 

@@ -245,7 +245,7 @@ def _canonical_rows(p: Poset) -> tuple[int, ...]:
     """Minimal relation matrix over all relabelings of the elements."""
     n = p.n
     if n > CANONICAL_MAX:
-        raise TooLarge(f"canonical form is limited to {CANONICAL_MAX} elements")
+        raise TooLarge(f"canonical form is limited to {CANONICAL_MAX} elements, got {n}")
     above = [bit_indices(row) for row in p.lt]
     best: tuple[int, ...] | None = None
     for perm in permutations(range(n)):

@@ -154,6 +154,17 @@ def test_classify_descriptor():
     v = sr.classify_descriptor(sr.PosetDescriptor.co_pinboard_poset(sr.co_dual(board)))
     assert v.sub_representable and v.kind == sr.VerdictKind.CO_PINBOARD_POSET
 
+    v = sr.classify_descriptor(sr.PosetDescriptor.of_chain(sr.INTEGERS))
+    assert not v.sub_representable
+    assert v.witness.reason == (
+        "chain Z contains both an increasing and a decreasing copy of the naturals"
+    )
+
+    v = sr.classify_descriptor(
+        sr.PosetDescriptor.of_chain(sr.ChainDescriptor.well_ordered(omega(1)))
+    )
+    assert v.sub_representable and v.kind == sr.VerdictKind.PINBOARD_POSET
+
 
 def test_descriptor_validation():
     with pytest.raises(sr.InvalidDescriptor):

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import subrep as sr
+from subrep.construct import subset_classes
 from subrep.poset import CANONICAL_MAX
-from conftest import fig1_poset, random_poset, random_positive_poset
+from conftest import embeds_exhaustive, fig1_poset, random_poset, random_positive_poset
 
 
 def _image(g, names):
@@ -99,6 +100,41 @@ def test_classification_never_labels(classes_by_n, monkeypatch):
         for p in classes:
             if sr.classify_finite(p).sub_representable:
                 sr.build_g(p)
+
+
+def test_class_matrix_matches_brute_force(classes_by_n):
+    """Embeddability read off the subset lattice is the embedding relation
+    between the classes' first subsets."""
+    rng = random.Random(606)
+    posets = [p for classes in classes_by_n.values() for p in classes]
+    posets += [random_poset(rng, rng.randint(1, 7)) for _ in range(30)]
+    for p in posets:
+        classes, cls, can_embed = subset_classes(p)
+        reps = [sr.subposet(p, group[0]) for group in classes]
+        for i, group in enumerate(classes):
+            assert all(cls[mask] == i for mask in group)
+            for j, rep in enumerate(reps):
+                assert can_embed[i][j] == embeds_exhaustive(reps[i], rep)
+
+
+def test_oracle_and_verifier_never_search(classes_by_n, monkeypatch):
+    """Neither the oracle nor the verifier runs the embedding search."""
+    positives = [
+        p
+        for classes in classes_by_n.values()
+        for p in classes
+        if sr.classify_finite(p).sub_representable
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedding search called")
+
+    monkeypatch.setattr("subrep.embed._search", refuse)
+    for n in range(1, 5):
+        for p in classes_by_n[n]:
+            sr.oracle_subrep(p)
+    for p in positives:
+        assert sr.verify_subrep(p, sr.build_g(p)) == []
 
 
 def test_table_constant_on_isomorphism_classes_and_idempotent():

@@ -22,7 +22,7 @@ def test_oracle_examples():
 
 
 def test_oracle_guard():
-    with pytest.raises(sr.TooLarge):
+    with pytest.raises(sr.TooLarge, match="oracle is limited to 6 elements, got 7"):
         sr.oracle_subrep(sr.antichain([f"x{i}" for i in range(7)]))
     assert sr.oracle_subrep(sr.antichain([f"x{i}" for i in range(7)]), max_n=7)
 
@@ -30,7 +30,7 @@ def test_oracle_guard():
 def test_oracle_guard_env_override(monkeypatch):
     monkeypatch.setenv("SUBREP_MAX_N", "4")
     assert sr.oracle_subrep(sr.antichain("abcd")) is not None
-    with pytest.raises(sr.TooLarge):
+    with pytest.raises(sr.TooLarge, match="oracle is limited to 4 elements, got 5"):
         sr.oracle_subrep(sr.antichain("abcde"))
 
 

@@ -101,7 +101,7 @@ def test_canonical_code_distinguishes():
 
 
 def test_canonical_code_guard():
-    with pytest.raises(sr.TooLarge):
+    with pytest.raises(sr.TooLarge, match="canonical form is limited to 10 elements, got 11"):
         sr.canonical_code(sr.antichain([f"x{i}" for i in range(11)]))
 
 
