@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -449,13 +450,20 @@ def main(argv: Sequence[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``subrep survey 5 | head -1``).
+        # Python flushes stdout again at exit, so point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SubrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

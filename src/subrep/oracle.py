@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .classify import Verdict, classify_finite
 from .construct import SubRepMap, subset_classes
 from .errors import EmptyPoset, SubrepError, TooLarge
-from .poset import Poset, bit_indices, canonical_code, canonical_form
+from .poset import Poset, bit_indices, canonical_code
 
 ORACLE_MAX_DEFAULT = 6
 ENUMERATE_MAX = 5
@@ -69,29 +69,30 @@ def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
 
 
 def enumerate_posets(n: int) -> list[Poset]:
-    """All posets on n elements up to isomorphism, canonically labeled and
-    ordered by canonical code."""
+    """All posets on n elements up to isomorphism, one representative per
+    class, ordered by canonical code. Representatives are named x0 ... x{n-1}
+    and naturally labeled: x_i < x_j only if i < j."""
     if n < 1:
         raise EmptyPoset(f"enumeration needs at least one element, got {n}")
     if n > ENUMERATE_MAX:
         raise TooLarge(f"enumeration is limited to {ENUMERATE_MAX} elements, got {n}")
-    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    names = tuple(f"x{i}" for i in range(n))
-    seen: dict[bytes, Poset] = {}
-    for relation in range(1 << len(cells)):
-        rows = [0] * n
-        for idx, (i, j) in enumerate(cells):
-            if (relation >> idx) & 1:
-                rows[i] |= 1 << j
-        if any(rows[j] & ~rows[i] for i in range(n) for j in bit_indices(rows[i])):
-            continue  # not transitively closed
-        # Every poset admits a linear extension, so scanning only relations
-        # compatible with the index order still reaches every class.
-        p = Poset(names, tuple(rows))
-        code = canonical_code(p)
-        if code not in seen:
-            seen[code] = canonical_form(p)
-    return [seen[code] for code in sorted(seen)]
+    level = [Poset(("x0",), (0,))]
+    for k in range(1, n):
+        names = tuple(f"x{i}" for i in range(k + 1))
+        seen: dict[bytes, Poset] = {}
+        # Removing a maximal element leaves a poset on k points, so putting a
+        # new maximal x_k above each down-closed set of each class reaches
+        # every class on k + 1 points.
+        for q in level:
+            for down in range(1 << k):
+                if any(q.below_mask(i) & ~down for i in bit_indices(down)):
+                    continue
+                rows = [row | (1 << k) if (down >> i) & 1 else row
+                        for i, row in enumerate(q.lt)]
+                p = Poset(names, (*rows, 0))
+                seen.setdefault(canonical_code(p), p)
+        level = [seen[code] for code in sorted(seen)]
+    return level
 
 
 @dataclass(frozen=True)

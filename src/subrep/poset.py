@@ -270,19 +270,6 @@ def canonical_code(p: Poset) -> bytes:
     return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in rows)
 
 
-def canonical_form(p: Poset) -> Poset:
-    """Relabeled copy whose relation matrix is the canonical minimum."""
-    rows = _canonical_rows(p)
-    return Poset(tuple(_default_names(p.n)), rows)
-
-
-def _default_names(n: int) -> list[str]:
-    alphabet = "abcdefghijklmnopqrstuvwxyz"
-    if n <= len(alphabet):
-        return [alphabet[i] for i in range(n)]
-    return [f"e{i}" for i in range(n)]
-
-
 def components(p: Poset) -> list[Poset]:
     """Connected components of the comparability graph, with induced order.
 

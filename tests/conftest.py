@@ -74,6 +74,26 @@ def random_positive_poset(rng: random.Random, n: int) -> sr.Poset:
     return sr.dual(p) if style == "coflower" else p
 
 
+def enumerate_by_relations(n: int) -> list[bytes]:
+    """Reference enumeration: the sorted canonical codes of every
+    transitively closed relation compatible with the index order. Every
+    poset has a linear extension, so this scan reaches every class."""
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    names = tuple(f"x{i}" for i in range(n))
+    codes = set()
+    for relation in range(1 << len(cells)):
+        rows = [0] * n
+        for idx, (i, j) in enumerate(cells):
+            if (relation >> idx) & 1:
+                rows[i] |= 1 << j
+        if any(
+            rows[j] & ~rows[i] for i in range(n) for j in range(n) if (rows[i] >> j) & 1
+        ):
+            continue  # not transitively closed
+        codes.add(sr.canonical_code(sr.Poset(names, tuple(rows))))
+    return sorted(codes)
+
+
 @pytest.fixture(scope="session")
 def classes_by_n() -> dict[int, list[sr.Poset]]:
     return {n: sr.enumerate_posets(n) for n in range(1, 6)}

@@ -166,6 +166,59 @@ def test_classify_descriptor():
     assert v.sub_representable and v.kind == sr.VerdictKind.PINBOARD_POSET
 
 
+def _finite_flower(stem: int, width: int) -> sr.Poset:
+    """A chain of ``stem`` points below a center, ``width`` points above it."""
+    below = [f"s{i}" for i in range(stem)] + ["c"]
+    tops = [f"t{i}" for i in range(width)]
+    covers = list(zip(below, below[1:])) + [("c", t) for t in tops]
+    return sr.poset_from_cover(below + tops, covers)
+
+
+def _partitions(n: int, largest: int):
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def test_descriptors_on_finite_parameters():
+    """The fixed positive verdicts of ``classify_descriptor`` hold on every
+    finite instance: the classifier finds the same kind, ``build_g``'s
+    table verifies, and on small instances the oracle finds a map too."""
+    built = []
+    for stem in range(5):
+        for width in range(2, 5):
+            p = _finite_flower(stem, width)
+            stem_type, cardinal = fin(stem), Card.fin(width)
+            for poset, descriptor in (
+                (p, sr.PosetDescriptor.flower(stem_type, cardinal)),
+                (sr.dual(p), sr.PosetDescriptor.co_flower(stem_type, cardinal)),
+            ):
+                kind = sr.classify_descriptor(descriptor).kind
+                assert sr.classify_finite(poset).kind == kind
+                built.append(poset)
+    for n in range(1, 9):
+        for lengths in _partitions(n, n):
+            board = sr.pinboard([(fin(h), Card.fin(1)) for h in lengths])
+            p = sr.pinboard_poset(board)
+            assert p.n == n
+            for poset in (p, sr.dual(p)):
+                assert sr.classify_finite(poset).kind == sr.VerdictKind.UNION_OF_CHAINS
+            for descriptor in (
+                sr.PosetDescriptor.pinboard_poset(board),
+                sr.PosetDescriptor.co_pinboard_poset(sr.co_dual(board)),
+            ):
+                assert sr.classify_descriptor(descriptor).sub_representable
+            built.append(p)
+    assert len(built) == 30 + 66  # 66 partitions of the sizes 1 ... 8
+    for p in built:
+        if p.n <= 8:
+            assert sr.verify_subrep(p, sr.build_g(p)) == []
+        if p.n <= 6:
+            assert sr.oracle_subrep(p) is not None
+
+
 def test_descriptor_validation():
     with pytest.raises(sr.InvalidDescriptor):
         sr.PosetDescriptor.flower(omega(0), Card.fin(1))  # width below 2

@@ -1,8 +1,13 @@
 """Command-line surface: text formats, JSON output, demos, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +191,40 @@ def test_survey_four_point_counts(capsys):
     assert payload["disagreements"] == 0
 
 
+def test_survey_output_pinned(capsys):
+    code, out, _ = run(capsys, "survey", "4")
+    assert code == 0 and out == SURVEY4
+    code, out, _ = run(capsys, "survey", "5", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5dcb4ae76cc16bb8529e5533de16c58603366a00956280059a41bb74748256cc"
+    )
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """A reader that stops early, as in ``subrep subrep FILE | head -1``,
+    leaves exit code 1 and no traceback on stderr."""
+    names = [f"c{i}" for i in range(14)]
+    covers = [f"{a} < {b}\n" for a, b in zip(names, names[1:]) if b != "c7"]
+    path = tmp_path / "chains.poset"
+    path.write_text(f"elem {' '.join(names)}\n{''.join(covers)}", encoding="utf-8")
+    src = str(Path(sr.__file__).resolve().parents[1])
+    path_var = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path_var)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subrep.cli", "subrep", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_pinboard_theta_command(capsys):
     code, out, _ = run(
         capsys,
@@ -322,7 +361,28 @@ def test_demos_are_deterministic(capsys):
     assert outputs[0] == outputs[1]
 
 
-# Full demo stdout, byte for byte.
+# Full demo and survey stdout, byte for byte.
+
+SURVEY4 = """\
+posets on 4 elements: 16 classes, 9 sub-representable, 7 not, 0 disagreements
+code          kind                  classifier  oracle  agree
+0400000000    unionOfChains         True        True    True
+0400000001    unionOfChains         True        True    True
+0400000003    notSubRepresentable   False       False   True
+0400000007    flower                True        True    True
+0400000101    notSubRepresentable   False       False   True
+0400000102    unionOfChains         True        True    True
+0400000103    notSubRepresentable   False       False   True
+0400000105    unionOfChains         True        True    True
+0400000107    notSubRepresentable   False       False   True
+0400000303    notSubRepresentable   False       False   True
+0400000307    flower                True        True    True
+0400010101    coFlower              True        True    True
+0400010103    notSubRepresentable   False       False   True
+0400010107    notSubRepresentable   False       False   True
+0400010303    coFlower              True        True    True
+0400010307    unionOfChains         True        True    True
+"""
 
 DEMO_FIG1 = """\
 witnessing map for the four-point flower (1 < 2, 2 < 3, 2 < 4):

@@ -7,6 +7,7 @@ import pytest
 import subrep as sr
 from conftest import (
     embeds_exhaustive,
+    enumerate_by_relations,
     fig3_poset,
     random_poset,
     random_positive_poset,
@@ -39,8 +40,19 @@ def test_enumerate_counts():
     assert len(sr.enumerate_posets(2)) == 2
     assert len(sr.enumerate_posets(3)) == 5
     assert len(sr.enumerate_posets(4)) == 16
+    assert len(sr.enumerate_posets(5)) == 63  # OEIS A000112
     with pytest.raises(sr.TooLarge):
         sr.enumerate_posets(6)
+
+
+def test_enumeration_matches_relation_scan():
+    for n in range(1, 6):
+        classes = sr.enumerate_posets(n)
+        assert [sr.canonical_code(p) for p in classes] == enumerate_by_relations(n)
+        for p in classes:
+            assert p.elements == tuple(f"x{i}" for i in range(n))
+            # naturally labeled: x_i < x_j only if i < j
+            assert not any(p.less(j, i) for i in range(n) for j in range(i + 1, n))
 
 
 def test_enumerate_codes_distinct_and_sorted():

@@ -277,8 +277,9 @@ def test_absorption_needs_infinite_frequency():
     assert y.pairs == ((fin(3), Card.fin(2)), (fin(1), Card.fin(1)))
 
 
-def _random_symbolic_subset(rng):
-    """Random normalized subset of HOST mixing infinite and finite data."""
+def _random_symbolic_pairs(rng):
+    """Random raw (height, frequency) pairs for a subset of HOST, mixing
+    infinite and finite data."""
     tall_pool = [
         omega(2),
         sr.ord_sum(omega(1), fin(rng.randint(1, 10))),
@@ -294,7 +295,48 @@ def _random_symbolic_subset(rng):
     for h in rng.sample(range(1, 8), k=rng.randint(0, 3)):
         freq = rng.choice([Card.fin(rng.randint(1, 5)), Card.aleph(rng.randint(0, 2))])
         pairs.append((fin(h), freq))
-    return sr.normalize_subset(pairs, HOST)
+    return pairs
+
+
+def _random_symbolic_subset(rng):
+    """Random normalized subset of HOST mixing infinite and finite data."""
+    return sr.normalize_subset(_random_symbolic_pairs(rng), HOST)
+
+
+def _hall_embeds(pairs_a, pairs_b) -> bool:
+    """Embeddability of raw pinboard pairs by Hall's condition, sharing no
+    code with ``pinboard.py``. Each chain of ``pairs_a`` must land in its
+    own target chain, one at least as tall, and the targets are nested by
+    height, so it embeds iff at each height h of ``pairs_a``, ``pairs_b``
+    has at least as many chains of height >= h. Cardinals are
+    (is_infinite, value) tuples, so aleph_k is (True, k)."""
+
+    def count_from(pairs, h):
+        total = (False, 0)
+        for height, freq in pairs:
+            if height >= h:
+                card = (freq.kind == "aleph", freq.value)
+                if total[0] or card[0]:
+                    total = max(total, card)
+                else:
+                    total = (False, total[1] + card[1])
+        return total
+
+    return all(count_from(pairs_a, h) <= count_from(pairs_b, h) for h, _ in pairs_a)
+
+
+def test_hall_condition_matches_pin_embeds_and_theta_subset():
+    """A third opinion on the raw pairs, before normalization drops the
+    absorbed entries, agrees with both decisions on the normalized subsets."""
+    rng = random.Random(2718)
+    raws = [_random_symbolic_pairs(rng) for _ in range(200)]
+    subsets = [sr.normalize_subset(raw, HOST) for raw in raws]
+    tables = [sr.theta(HOST, y) for y in subsets]
+    for raw, y, t in zip(raws, subsets, tables):
+        for raw2, y2, t2 in zip(raws, subsets, tables):
+            hall = _hall_embeds(raw, raw2)
+            assert sr.pin_embeds(y, y2) == hall, (raw, raw2)
+            assert sr.theta_subset(t, t2) == hall, (raw, raw2)
 
 
 def test_theta_subset_matches_pin_embeds_symbolic():
