@@ -3,7 +3,10 @@
 ``embeds(p1, p2)`` asks whether p1 is isomorphic to a subset of p2 with the
 induced order, i.e. whether an injection exists that preserves and reflects
 the strict relation. The search is a backtracking scan over injections with
-pruning that never changes the answer (degree and chain-height dominance).
+pruning that never changes the answer: degree and chain-height dominance
+bound each source's targets up front, and forward checking narrows the
+targets of every later source after each assignment and abandons a branch as
+soon as one of them runs out.
 """
 
 from __future__ import annotations
@@ -118,27 +121,38 @@ def _search(p1: Poset, p2: Poset, limit: int | None = 1) -> list[tuple[int, ...]
     cand = _candidate_masks(p1, p2)
     if cand is None:
         return []
+    # rel[s][k] says how source s + 1 + k must sit against the image of s:
+    # 0 above it, 1 below it, 2 incomparable to it.
+    rel = [[0 if p1.less(s, s2) else 1 if p1.less(s2, s) else 2
+            for s2 in range(s + 1, n1)] for s in range(n1)]
+    lt2, gt2 = p2.lt, p2._gt
+    full = (1 << p2.n) - 1
     image = [-1] * n1
     found: list[tuple[int, ...]] = []
 
-    def rec(s: int, used: int) -> bool:
+    def rec(s: int, doms: list[int]) -> bool:
+        # doms holds the domains of sources s .. n1 - 1, already narrowed by
+        # every assignment made so far, so each target in doms[0] is
+        # consistent with them and distinct from their images.
         if s == n1:
             found.append(tuple(image))
             return limit is not None and len(found) >= limit
-        for t in bit_indices(cand[s] & ~used):
-            ok = True
-            for prev in range(s):
-                tp = image[prev]
-                if p1.less(s, prev) != p2.less(t, tp) or p1.less(prev, s) != p2.less(tp, t):
-                    ok = False
+        later, kinds = doms[1:], rel[s]
+        for t in bit_indices(doms[0]):
+            masks = (lt2[t], gt2[t], full & ~(lt2[t] | gt2[t] | (1 << t)))
+            nxt = []
+            for dom, k in zip(later, kinds):
+                dom &= masks[k]
+                if not dom:
                     break
-            if ok:
+                nxt.append(dom)
+            else:
                 image[s] = t
-                if rec(s + 1, used | (1 << t)):
+                if rec(s + 1, nxt):
                     return True
         return False
 
-    rec(0, 0)
+    rec(0, cand)
     return found
 
 

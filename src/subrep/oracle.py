@@ -72,18 +72,24 @@ def enumerate_posets(n: int) -> list[Poset]:
     """All posets on n elements up to isomorphism, one representative per
     class, ordered by canonical code. Representatives are named x0 ... x{n-1}
     and naturally labeled: x_i < x_j only if i < j."""
+    return [p for _, p in _enumerate_classes(n)]
+
+
+def _enumerate_classes(n: int) -> list[tuple[bytes, Poset]]:
+    """``enumerate_posets(n)`` with each representative's canonical code."""
     if n < 1:
         raise EmptyPoset(f"enumeration needs at least one element, got {n}")
     if n > ENUMERATE_MAX:
         raise TooLarge(f"enumeration is limited to {ENUMERATE_MAX} elements, got {n}")
-    level = [Poset(("x0",), (0,))]
+    point = Poset(("x0",), (0,))
+    level = [(canonical_code(point), point)]
     for k in range(1, n):
         names = tuple(f"x{i}" for i in range(k + 1))
         seen: dict[bytes, Poset] = {}
         # Removing a maximal element leaves a poset on k points, so putting a
         # new maximal x_k above each down-closed set of each class reaches
         # every class on k + 1 points.
-        for q in level:
+        for _, q in level:
             for down in range(1 << k):
                 if any(q.below_mask(i) & ~down for i in bit_indices(down)):
                     continue
@@ -91,7 +97,7 @@ def enumerate_posets(n: int) -> list[Poset]:
                         for i, row in enumerate(q.lt)]
                 p = Poset(names, (*rows, 0))
                 seen.setdefault(canonical_code(p), p)
-        level = [seen[code] for code in sorted(seen)]
+        level = sorted(seen.items())
     return level
 
 
@@ -111,8 +117,8 @@ def survey(n: int) -> list[SurveyRow]:
     """Classifier verdict and oracle verdict for every isomorphism class
     on n elements; any disagreement is visible on the row."""
     rows = []
-    for p in enumerate_posets(n):
+    for code, p in _enumerate_classes(n):
         verdict = classify_finite(p)
         witness = oracle_subrep(p, max_n=ORACLE_MAX_DEFAULT)
-        rows.append(SurveyRow(canonical_code(p), p, verdict, witness is not None))
+        rows.append(SurveyRow(code, p, verdict, witness is not None))
     return rows

@@ -104,7 +104,8 @@ def test_classification_never_labels(classes_by_n, monkeypatch):
 
 def test_class_matrix_matches_brute_force(classes_by_n):
     """Embeddability read off the subset lattice is the embedding relation
-    between the classes' first subsets."""
+    between the classes' first subsets, and so is the embedding search: three
+    independent paths agree on every class pair."""
     rng = random.Random(606)
     posets = [p for classes in classes_by_n.values() for p in classes]
     posets += [random_poset(rng, rng.randint(1, 7)) for _ in range(30)]
@@ -114,7 +115,10 @@ def test_class_matrix_matches_brute_force(classes_by_n):
         for i, group in enumerate(classes):
             assert all(cls[mask] == i for mask in group)
             for j, rep in enumerate(reps):
-                assert can_embed[i][j] == embeds_exhaustive(reps[i], rep)
+                brute = embeds_exhaustive(reps[i], rep)
+                assert can_embed[i][j] == brute
+                assert sr.embeds(reps[i], rep) == brute
+                assert (sr.find_embedding(reps[i], rep) is not None) == brute
 
 
 def test_oracle_and_verifier_never_search(classes_by_n, monkeypatch):

@@ -1,5 +1,6 @@
 """Pinboards, subset normalization, theta tables, and the embed criteria."""
 
+import itertools
 import random
 
 import pytest
@@ -337,6 +338,58 @@ def test_hall_condition_matches_pin_embeds_and_theta_subset():
             hall = _hall_embeds(raw, raw2)
             assert sr.pin_embeds(y, y2) == hall, (raw, raw2)
             assert sr.theta_subset(t, t2) == hall, (raw, raw2)
+
+
+def _finite_model(y, stand_ins):
+    """The all-finite pinboard of subset y with each aleph_k frequency
+    replaced by ``stand_ins[k]``."""
+    return sr.pinboard_poset(sr.pinboard(
+        [(h, Card.fin(stand_ins[f.value]) if f.is_infinite else f) for h, f in y.pairs]
+    ))
+
+
+def test_pin_embeds_matches_brute_force_on_finite_models():
+    """pin_embeds on symbolic subsets equals brute-force embeds on finite
+    models, with each aleph_k frequency replaced by a finite stand-in.
+
+    pin_embeds compares, at each height h of y, the number of y's chains
+    at least h tall with that of y2, and brute force on all-finite boards
+    decides the same comparisons on finite counts (criterion 8). So the
+    models keep the verdict if every finite comparison comes out as the
+    cardinal one. Let a and b be the finite frequencies of y and y2 added
+    up; they bound every finite part of a count. Normalization leaves at
+    most one entry per aleph_k, so a count of y whose largest infinite
+    term is aleph_k is at most a + src[0] + ... + src[k] and at least
+    src[k], and likewise for y2 with tgt and b. An infinite count absorbs
+    finite ones (aleph_0 + 2 = aleph_0), which no single finite number
+    does, so the source gets the stand-ins src and the target the larger
+    tgt, both above every finite count and increasing in k:
+    src[k] = b + 1 + tgt[0] + ... + tgt[k-1] beats any count of y2 below
+    aleph_k, and tgt[k] = a + src[0] + ... + src[k] covers any count of y
+    up to aleph_k. Models stay within the 11 points a side that criterion
+    8 searches.
+    """
+    host = sr.SimplePinboard(Card.aleph(0), 1, 2, Card.aleph(1))
+    freqs = [Card.fin(0), Card.fin(1), Card.fin(2), Card.aleph(0), Card.aleph(1)]
+    subsets = {}
+    for f3, f2, f1 in itertools.product(freqs[:2], freqs, freqs):
+        y = sr.normalize_subset([(fin(3), f3), (fin(2), f2), (fin(1), f1)], host)
+        subsets[y.pairs] = y
+    verdicts = []
+    for y, y2 in itertools.product(subsets.values(), repeat=2):
+        a = sum(f.value for _, f in y.pairs if not f.is_infinite)
+        b = sum(f.value for _, f in y2.pairs if not f.is_infinite)
+        src, tgt = [], []
+        for _ in range(2):
+            src.append(b + 1 + sum(tgt))
+            tgt.append(a + sum(src))
+        model, model2 = _finite_model(y, src), _finite_model(y2, tgt)
+        if model.n > 11 or model2.n > 11:
+            continue
+        verdict = sr.pin_embeds(y, y2)
+        assert sr.embeds(model, model2) == verdict, (y.pairs, y2.pairs)
+        verdicts.append(verdict)
+    assert len(verdicts) == 826 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_theta_subset_matches_pin_embeds_symbolic():
