@@ -82,8 +82,8 @@ def is_flower(p: Poset) -> str | None:
     everything above x an antichain of size >= 2, and nothing else."""
     full = (1 << p.n) - 1
     for i in range(p.n):
-        up = p.above_mask(i)
-        down = p.below_mask(i)
+        up = p.lt[i]
+        down = p.gt[i]
         if up.bit_count() < 2:
             continue
         if (up | down | (1 << i)) != full:

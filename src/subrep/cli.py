@@ -173,8 +173,8 @@ def poset_to_dot(p: Poset) -> str:
     lines = ["digraph poset {", "  rankdir=BT;"]
     lines += [f"  {ident};" for ident in ids]
     for i in range(p.n):
-        for j in bit_indices(p.above_mask(i)):
-            if not (p.above_mask(i) & p.below_mask(j)):
+        for j in bit_indices(p.lt[i]):
+            if not (p.lt[i] & p.gt[j]):
                 lines.append(f"  {ids[i]} -> {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -85,8 +85,8 @@ def build_g(p: Poset) -> SubRepMap:
 def _flower_table(p: Poset, center: int) -> dict[int, int]:
     """Images inside a flower with the fixed labeling: the top antichain
     x_1..x_k by element index, then the center, then the stem downward."""
-    top = bit_indices(p.above_mask(center))
-    stem = sorted(bit_indices(p.below_mask(center)), key=lambda i: -p.below_mask(i).bit_count())
+    top = bit_indices(p.lt[center])
+    stem = sorted(bit_indices(p.gt[center]), key=lambda i: -p.gt[i].bit_count())
     spine = [center] + stem  # positions k+1, k+2, ... of the labeling
     top_prefix = _prefix_masks(top)
     spine_prefix = _prefix_masks(spine)
@@ -110,7 +110,7 @@ def _chain_union_table(
     prefixes = []  # per chain, masks of its bottom k elements
     for c in chains:
         idx = sorted((p.index(name) for name in c),
-                     key=lambda i: p.below_mask(i).bit_count())
+                     key=lambda i: p.gt[i].bit_count())
         prefixes.append(_prefix_masks(idx))
     table: dict[int, int] = {}
     for mask in range(1, 1 << p.n):

@@ -90,9 +90,9 @@ def obstruction_patterns() -> tuple[PatternKind, ...]:
 
 def _element_stats(p: Poset) -> list[tuple[int, int, int, int]]:
     up_chain = chain_heights(p.lt)
-    down_chain = chain_heights(p._gt)
+    down_chain = chain_heights(p.gt)
     return [
-        (p.lt[i].bit_count(), p._gt[i].bit_count(), up_chain[i], down_chain[i])
+        (p.lt[i].bit_count(), p.gt[i].bit_count(), up_chain[i], down_chain[i])
         for i in range(p.n)
     ]
 
@@ -125,7 +125,7 @@ def _search(p1: Poset, p2: Poset, limit: int | None = 1) -> list[tuple[int, ...]
     # 0 above it, 1 below it, 2 incomparable to it.
     rel = [[0 if p1.less(s, s2) else 1 if p1.less(s2, s) else 2
             for s2 in range(s + 1, n1)] for s in range(n1)]
-    lt2, gt2 = p2.lt, p2._gt
+    lt2, gt2 = p2.lt, p2.gt
     full = (1 << p2.n) - 1
     image = [-1] * n1
     found: list[tuple[int, ...]] = []

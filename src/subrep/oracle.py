@@ -11,33 +11,26 @@ constrained pairwise by embeddability-iff-inclusion.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .classify import Verdict, classify_finite
 from .construct import SubRepMap, subset_classes
-from .errors import EmptyPoset, SubrepError, TooLarge
-from .poset import Poset, bit_indices, canonical_code
+from .errors import EmptyPoset, TooLarge
+from .poset import CANONICAL_MAX, Poset, bit_indices, canonical_code
 
-ORACLE_MAX_DEFAULT = 6
-ENUMERATE_MAX = 5
+#: Enumeration labels every candidate; 7 points take about a minute.
+ENUMERATE_MAX = 6
 
 
-def oracle_subrep(p: Poset, max_n: int | None = None) -> SubRepMap | None:
+def oracle_subrep(p: Poset) -> SubRepMap | None:
     """A witnessing map found by exhaustive search, or None after
     exhausting every candidate.
 
-    ``max_n`` defaults to the SUBREP_MAX_N environment variable, else 6.
+    Raises TooLarge above ``CANONICAL_MAX`` elements: the search labels
+    every subset canonically, as ``verify_subrep`` does.
     """
-    limit = max_n
-    if limit is None:
-        raw = os.environ.get("SUBREP_MAX_N", str(ORACLE_MAX_DEFAULT))
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise SubrepError(f"SUBREP_MAX_N must be an integer, not {raw!r}") from None
-    if p.n > limit:
-        raise TooLarge(f"oracle is limited to {limit} elements, got {p.n}")
+    if p.n > CANONICAL_MAX:
+        raise TooLarge(f"oracle is limited to {CANONICAL_MAX} elements, got {p.n}")
     classes, _, can_embed = subset_classes(p)
     k = len(classes)
     chosen: list[int] = []
@@ -91,7 +84,7 @@ def _enumerate_classes(n: int) -> list[tuple[bytes, Poset]]:
         # every class on k + 1 points.
         for _, q in level:
             for down in range(1 << k):
-                if any(q.below_mask(i) & ~down for i in bit_indices(down)):
+                if any(q.gt[i] & ~down for i in bit_indices(down)):
                     continue
                 rows = [row | (1 << k) if (down >> i) & 1 else row
                         for i, row in enumerate(q.lt)]
@@ -119,6 +112,6 @@ def survey(n: int) -> list[SurveyRow]:
     rows = []
     for code, p in _enumerate_classes(n):
         verdict = classify_finite(p)
-        witness = oracle_subrep(p, max_n=ORACLE_MAX_DEFAULT)
+        witness = oracle_subrep(p)
         rows.append(SurveyRow(code, p, verdict, witness is not None))
     return rows

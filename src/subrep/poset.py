@@ -58,7 +58,8 @@ class Poset:
         return len(self.elements)
 
     @cached_property
-    def _gt(self) -> tuple[int, ...]:
+    def gt(self) -> tuple[int, ...]:
+        """The transpose of ``lt``: bit j of ``gt[i]`` is set iff j is below i."""
         cols = [0] * self.n
         for i, row in enumerate(self.lt):
             rest = row
@@ -78,16 +79,8 @@ class Poset:
         """True iff element i is strictly below element j."""
         return bool((self.lt[i] >> j) & 1)
 
-    def above_mask(self, i: int) -> int:
-        """Bitmask of elements strictly above element i."""
-        return self.lt[i]
-
-    def below_mask(self, i: int) -> int:
-        """Bitmask of elements strictly below element i."""
-        return self._gt[i]
-
     def comparable_mask(self, i: int) -> int:
-        return self.lt[i] | self._gt[i]
+        return self.lt[i] | self.gt[i]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rels = ", ".join(
@@ -154,16 +147,16 @@ def disjoint_union(*posets: Poset) -> Poset:
 
 def dual(p: Poset) -> Poset:
     """Transpose of the order; an involution."""
-    return Poset(p.elements, p._gt)
+    return Poset(p.elements, p.gt)
 
 
 def strict_cone(p: Poset, x: str, direction: str) -> set[str]:
     """Elements strictly above ('up') or strictly below ('down') x."""
     i = p.index(x)
     if direction == "up":
-        mask = p.above_mask(i)
+        mask = p.lt[i]
     elif direction == "down":
-        mask = p.below_mask(i)
+        mask = p.gt[i]
     else:
         raise ValueError("direction must be 'up' or 'down'")
     return set(names_of(p, mask))
@@ -200,29 +193,40 @@ def names_of(p: Poset, mask: int) -> tuple[str, ...]:
 
 
 def height_width(p: Poset) -> tuple[int, int]:
-    """Largest chain size and largest antichain size, computed exactly."""
+    """Largest chain size and largest antichain size, computed exactly.
+
+    By Dilworth's theorem the width is the least number of chains that
+    cover p, which is n minus a maximum matching of i -> j over the pairs
+    i < j (Fulkerson, Proc. AMS 7, 1956).
+    """
     if p.n == 0:
         raise EmptyPoset("height and width need a nonempty poset")
-    return max(chain_heights(p.lt)), _max_antichain(p, (1 << p.n) - 1)
+    return max(chain_heights(p.lt)), p.n - _max_matching(p.lt)
 
 
-def _max_antichain(p: Poset, domain: int) -> int:
-    """Exact maximum antichain size within ``domain`` (branch and bound)."""
-    best = 0
+def _max_matching(rows: Sequence[int]) -> int:
+    """Size of a maximum matching of i -> j over the set bits j of
+    ``rows[i]``, grown one augmenting path at a time; each step of a path
+    visits a new j, so the recursion is at most len(rows) deep."""
+    owner = [-1] * len(rows)
+    seen = 0
 
-    def rec(avail: int, size: int) -> None:
-        nonlocal best
-        if size + avail.bit_count() <= best:
-            return
-        if not avail:
-            best = max(best, size)
-            return
-        v = (avail & -avail).bit_length() - 1
-        rec(avail & ~(1 << v) & ~p.comparable_mask(v), size + 1)
-        rec(avail & ~(1 << v), size)
+    def augment(i: int) -> bool:
+        nonlocal seen
+        for j in bit_indices(rows[i] & ~seen):
+            if (seen >> j) & 1:
+                continue
+            seen |= 1 << j
+            if owner[j] < 0 or augment(owner[j]):
+                owner[j] = i
+                return True
+        return False
 
-    rec(domain, 0)
-    return best
+    size = 0
+    for i in range(len(rows)):
+        seen = 0
+        size += augment(i)
+    return size
 
 
 def is_chain_mask(p: Poset, mask: int) -> bool:

@@ -74,6 +74,26 @@ def random_positive_poset(rng: random.Random, n: int) -> sr.Poset:
     return sr.dual(p) if style == "coflower" else p
 
 
+def max_antichain_exhaustive(p: sr.Poset) -> int:
+    """Reference width: the exact maximum antichain size by branch and
+    bound over the elements, exponential in the worst case."""
+    best = 0
+
+    def rec(avail: int, size: int) -> None:
+        nonlocal best
+        if size + avail.bit_count() <= best:
+            return
+        if not avail:
+            best = max(best, size)
+            return
+        v = (avail & -avail).bit_length() - 1
+        rec(avail & ~(1 << v) & ~p.comparable_mask(v), size + 1)
+        rec(avail & ~(1 << v), size)
+
+    rec((1 << p.n) - 1, 0)
+    return best
+
+
 def enumerate_by_relations(n: int) -> list[bytes]:
     """Reference enumeration: the sorted canonical codes of every
     transitively closed relation compatible with the index order. Every

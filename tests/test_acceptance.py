@@ -22,15 +22,6 @@ def survey_rows():
     return {n: sr.survey(n) for n in (4, 5)}
 
 
-@pytest.fixture(scope="module")
-def class_oracle():
-    verdicts = {}
-    for n in range(1, 6):
-        for p in sr.enumerate_posets(n):
-            verdicts[sr.canonical_code(p)] = sr.oracle_subrep(p) is not None
-    return verdicts
-
-
 def test_criterion_1_figure1_reproduction():
     p = fig1_poset()
     g = sr.build_g(p)
@@ -77,22 +68,22 @@ def test_criterion_3_five_point_agreement(survey_rows):
     assert ok
 
 
-def test_criterion_4_heredity(class_oracle):
+def test_criterion_4_heredity(oracle_verdicts):
     ok = True
     for n in range(1, 6):
         for p in sr.enumerate_posets(n):
-            if not class_oracle[sr.canonical_code(p)]:
+            if not oracle_verdicts[sr.canonical_code(p)]:
                 continue
             # positive posets must have only positive subsets
             for mask in range(1, 1 << p.n):
                 code = sr.canonical_code(sr.subposet(p, mask))
-                if not class_oracle[code]:
+                if not oracle_verdicts[code]:
                     ok = False
     report(4, "heredity over all n<=5 classes and subsets", ok)
     assert ok
 
 
-def test_criterion_5_vee_wedge_and_diamond_theorems(class_oracle):
+def test_criterion_5_vee_wedge_and_diamond_theorems(oracle_verdicts):
     ok = True
     for n in range(1, 6):
         for p in sr.enumerate_posets(n):
@@ -100,7 +91,7 @@ def test_criterion_5_vee_wedge_and_diamond_theorems(class_oracle):
                 sr.contains_pattern(p, sr.PatternKind.VEE)
                 and sr.contains_pattern(p, sr.PatternKind.WEDGE)
             )
-            if blocked and class_oracle[sr.canonical_code(p)]:
+            if blocked and oracle_verdicts[sr.canonical_code(p)]:
                 ok = False
     report(5, "vee+wedge and diamond imply oracle-negative", ok)
     assert ok

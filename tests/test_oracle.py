@@ -23,26 +23,25 @@ def test_oracle_examples():
 
 
 def test_oracle_guard():
-    with pytest.raises(sr.TooLarge, match="oracle is limited to 6 elements, got 7"):
-        sr.oracle_subrep(sr.antichain([f"x{i}" for i in range(7)]))
-    assert sr.oracle_subrep(sr.antichain([f"x{i}" for i in range(7)]), max_n=7)
+    with pytest.raises(sr.TooLarge, match="oracle is limited to 10 elements, got 11"):
+        sr.oracle_subrep(sr.antichain([f"x{i}" for i in range(11)]))
+    assert sr.oracle_subrep(sr.antichain([f"x{i}" for i in range(7)]))
 
 
-def test_oracle_guard_env_override(monkeypatch):
-    monkeypatch.setenv("SUBREP_MAX_N", "4")
-    assert sr.oracle_subrep(sr.antichain("abcd")) is not None
-    with pytest.raises(sr.TooLarge, match="oracle is limited to 4 elements, got 5"):
-        sr.oracle_subrep(sr.antichain("abcde"))
+@pytest.fixture(scope="module")
+def survey6():
+    return sr.survey(6)
 
 
-def test_enumerate_counts():
+def test_enumerate_counts(survey6):
     assert len(sr.enumerate_posets(1)) == 1
     assert len(sr.enumerate_posets(2)) == 2
     assert len(sr.enumerate_posets(3)) == 5
     assert len(sr.enumerate_posets(4)) == 16
-    assert len(sr.enumerate_posets(5)) == 63  # OEIS A000112
-    with pytest.raises(sr.TooLarge):
-        sr.enumerate_posets(6)
+    assert len(sr.enumerate_posets(5)) == 63
+    assert len(survey6) == 318  # OEIS A000112
+    with pytest.raises(sr.TooLarge, match="enumeration is limited to 6 elements, got 7"):
+        sr.enumerate_posets(7)
 
 
 def test_enumeration_matches_relation_scan():
@@ -84,6 +83,12 @@ def test_survey_n4_counts():
     assert all(r.agree for r in rows)
 
 
+def test_survey_n6_all_agree(survey6):
+    assert [r.code for r in survey6] == sorted({r.code for r in survey6})
+    assert all(r.agree for r in survey6)
+    assert sum(r.oracle_positive for r in survey6) == 19
+
+
 def test_mutual_embeds_equal_size_forces_isomorphism():
     """The forced shape of any witnessing table on finite posets."""
     rng = random.Random(404)
@@ -119,6 +124,17 @@ def test_oracle_agrees_with_classifier_random_n6():
         witness = sr.oracle_subrep(p)
         assert witness is not None
         assert sr.verify_subrep(p, witness) == []
+
+
+def test_oracle_agrees_with_classifier_n7_n8():
+    rng = random.Random(778)
+    for n, count in ((7, 10), (8, 2)):
+        cases = [random_poset(rng, n, rng.uniform(0.1, 0.5)) for _ in range(count)]
+        for p in cases + [random_positive_poset(rng, n)]:
+            witness = sr.oracle_subrep(p)
+            assert (witness is not None) == sr.classify_finite(p).sub_representable
+            if witness is not None:
+                assert sr.verify_subrep(p, witness) == []
 
 
 def test_vee_wedge_classes_fail_oracle(classes_by_n, oracle_verdicts):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import subrep as sr
 from subrep.poset import chain_heights, is_chain_mask
-from conftest import fig1_poset, fig3_poset, random_poset
+from conftest import fig1_poset, fig3_poset, max_antichain_exhaustive, random_poset
 
 
 def test_from_cover_transitive_closure():
@@ -86,6 +86,13 @@ def test_height_width_dual_invariant():
     for _ in range(30):
         p = random_poset(rng, rng.randint(1, 6))
         assert sr.height_width(p) == sr.height_width(sr.dual(p))
+
+
+def test_width_matches_branch_and_bound():
+    rng = random.Random(2024)
+    for _ in range(1000):
+        p = random_poset(rng, rng.randint(1, 12), rng.uniform(0.02, 0.6))
+        assert sr.height_width(p)[1] == max_antichain_exhaustive(p)
 
 
 def test_canonical_code_iso_invariance():
