@@ -21,7 +21,7 @@ from .embed import (
 from .errors import EmptyPoset, InvalidDescriptor
 from .ordinal import Card, OrdinalExpr, card_cmp
 from .pinboard import Pinboard
-from .poset import Poset, bit_indices, components, dual, is_chain_mask, is_chain_poset
+from .poset import Poset, bit_indices, component_masks, is_chain_mask, names_of, subposet
 
 
 class VerdictKind(Enum):
@@ -80,15 +80,29 @@ class Verdict:
 def is_flower(p: Poset) -> str | None:
     """Least element x with everything below x a chain (possibly empty),
     everything above x an antichain of size >= 2, and nothing else."""
+    return _flower_center(p, p.lt, p.gt)
+
+
+def is_coflower(p: Poset) -> str | None:
+    """``is_flower`` of the dual order, read off the transposed rows."""
+    return _flower_center(p, p.gt, p.lt)
+
+
+def _flower_center(
+    p: Poset, up_rows: tuple[int, ...], down_rows: tuple[int, ...]
+) -> str | None:
+    """The flower test on the order whose strict up-sets are ``up_rows``
+    and down-sets ``down_rows``: ``p.lt`` and ``p.gt``, or the reverse for
+    the dual. Comparability, so ``is_chain_mask``, is the same in both."""
     full = (1 << p.n) - 1
     for i in range(p.n):
-        up = p.lt[i]
-        down = p.gt[i]
+        up = up_rows[i]
         if up.bit_count() < 2:
             continue
+        down = down_rows[i]
         if (up | down | (1 << i)) != full:
             continue
-        if any(p.lt[j] & up for j in bit_indices(up)):
+        if any(up_rows[j] & up for j in bit_indices(up)):
             continue
         if not is_chain_mask(p, down):
             continue
@@ -96,34 +110,40 @@ def is_flower(p: Poset) -> str | None:
     return None
 
 
-def is_coflower(p: Poset) -> str | None:
-    return is_flower(dual(p))
+def _chain_components(p: Poset) -> list[int] | None:
+    """The component masks in ``component_masks`` order, or None if some
+    component is not a chain."""
+    masks = component_masks(p)
+    if not all(is_chain_mask(p, mask) for mask in masks):
+        return None
+    return masks
 
 
 def is_union_of_chains(p: Poset) -> list[Poset] | None:
     """Component chains sorted by height descending, ties by least element
     index, or None if some component is not a chain."""
-    parts = components(p)
-    if not all(is_chain_poset(c) for c in parts):
+    masks = _chain_components(p)
+    if masks is None:
         return None
-    return parts  # components() already orders largest first, then by index
+    return [subposet(p, mask) for mask in masks]
 
 
 def classify_finite(p: Poset) -> Verdict:
     """Decide sub-representability of a finite poset structurally.
 
-    Negative verdicts carry an embedded witness pattern: a diamond if one
-    is present, else a vee and a wedge, else one of the seven four-point
-    obstructions (in canonical-code order).
+    Works on the relation rows and component masks of p; it builds no
+    derived poset. Negative verdicts carry an embedded witness pattern: a
+    diamond if one is present, else a vee and a wedge, else one of the
+    seven four-point obstructions (in canonical-code order).
     """
     if p.n == 0:
         raise EmptyPoset("classification needs a nonempty poset")
-    chains = is_union_of_chains(p)
-    if chains is not None:
+    masks = _chain_components(p)
+    if masks is not None:
         return Verdict(
             True,
             VerdictKind.UNION_OF_CHAINS,
-            Witness(chains=tuple(tuple(c.elements) for c in chains)),
+            Witness(chains=tuple(names_of(p, mask) for mask in masks)),
         )
     center = is_flower(p)
     if center is not None:

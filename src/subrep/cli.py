@@ -44,6 +44,12 @@ from .poset import Poset, bit_indices, mask_of, names_of, poset_from_cover
 # ---------------------------------------------------------------------------
 # text formats
 
+_COVER_RE = re.compile(r"(\S+)\s*<\s*(\S+)")
+_ORDINAL_RE = re.compile(r"w(\d+)(?:\*(\d+))?|(\d+)")
+_CARDINAL_RE = re.compile(r"aleph(\d+)|(\d+)")
+_BOARD_RE = re.compile(r"(pin|copin)\b")
+_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+
 
 def parse_poset_text(text: str) -> Poset:
     elements: list[str] = []
@@ -55,7 +61,7 @@ def parse_poset_text(text: str) -> Poset:
         if line.startswith("elem "):
             elements.extend(line.split()[1:])
             continue
-        m = re.fullmatch(r"(\S+)\s*<\s*(\S+)", line)
+        m = _COVER_RE.fullmatch(line)
         if not m:
             raise ParseError(f"line {lineno}: expected 'elem ...' or 'a < b'")
         covers.append((m.group(1), m.group(2)))
@@ -79,7 +85,7 @@ def parse_ordinal(text: str) -> OrdinalExpr:
     total = ZERO
     for token in text.strip().split("+"):
         token = token.strip()
-        m = re.fullmatch(r"w(\d+)(?:\*(\d+))?|(\d+)", token)
+        m = _ORDINAL_RE.fullmatch(token)
         if not m:
             raise ParseError(f"bad ordinal token {token!r}")
         try:
@@ -92,7 +98,7 @@ def parse_ordinal(text: str) -> OrdinalExpr:
 
 def parse_cardinal(text: str) -> Card:
     text = text.strip()
-    m = re.fullmatch(r"aleph(\d+)|(\d+)", text)
+    m = _CARDINAL_RE.fullmatch(text)
     if not m:
         raise ParseError(f"bad cardinal token {text!r}")
     try:
@@ -101,14 +107,11 @@ def parse_cardinal(text: str) -> Card:
         raise ParseError(f"bad cardinal token {text!r}: {exc}") from None
 
 
-_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
-
-
 def parse_pair_list(text: str) -> tuple[list[tuple[OrdinalExpr, Card]], bool]:
     """Parse ``pin (h,f) ...`` or ``copin (h,f) ...`` into raw pairs plus
     the starred flag."""
     text = text.strip()
-    m = re.match(r"(pin|copin)\b", text)
+    m = _BOARD_RE.match(text)
     if not m:
         raise ParseError("pinboard text must start with 'pin' or 'copin'")
     starred = m.group(1) == "copin"
@@ -446,8 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "pinboard":
         want = 1 if args.action == "theta" else 2
         if len(args.subsets) != want:
-            print(f"pinboard {args.action} takes {want} subset argument(s)",
-                  file=sys.stderr)
+            noun = "argument" if want == 1 else "arguments"
+            print(f"error: pinboard {args.action} takes {want} subset {noun}, "
+                  f"got {len(args.subsets)}", file=sys.stderr)
             return 1
     try:
         status = args.func(args)

@@ -6,7 +6,9 @@ the strict relation. The search is a backtracking scan over injections with
 pruning that never changes the answer: degree and chain-height dominance
 bound each source's targets up front, and forward checking narrows the
 targets of every later source after each assignment and abandons a branch as
-soon as one of them runs out.
+soon as one of them runs out. The degrees and chain heights are
+``Poset.element_stats``, cached on each poset like ``Poset.gt``, so a host
+searched for several patterns computes its chain heights once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 
-from .poset import Poset, bit_indices, chain_heights, poset_from_cover
+from .poset import Poset, bit_indices, poset_from_cover
 
 
 class PatternKind(Enum):
@@ -88,18 +90,9 @@ def obstruction_patterns() -> tuple[PatternKind, ...]:
     )
 
 
-def _element_stats(p: Poset) -> list[tuple[int, int, int, int]]:
-    up_chain = chain_heights(p.lt)
-    down_chain = chain_heights(p.gt)
-    return [
-        (p.lt[i].bit_count(), p.gt[i].bit_count(), up_chain[i], down_chain[i])
-        for i in range(p.n)
-    ]
-
-
 def _candidate_masks(p1: Poset, p2: Poset) -> list[int] | None:
-    s1 = _element_stats(p1)
-    s2 = _element_stats(p2)
+    s1 = p1.element_stats
+    s2 = p2.element_stats
     cand = []
     for a in s1:
         mask = 0

@@ -69,6 +69,18 @@ class Poset:
                 cols[j] |= 1 << i
         return tuple(cols)
 
+    @cached_property
+    def element_stats(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per element (up-degree, down-degree, up-height, down-height): the
+        sizes of its strict up- and down-sets and the sizes of the longest
+        chains that start at it going up and going down."""
+        lt, gt = self.lt, self.gt
+        up_chain, down_chain = chain_heights(lt), chain_heights(gt)
+        return tuple(
+            (lt[i].bit_count(), gt[i].bit_count(), up_chain[i], down_chain[i])
+            for i in range(self.n)
+        )
+
     def index(self, name: str) -> int:
         try:
             return self.elements.index(name)
@@ -206,26 +218,35 @@ def height_width(p: Poset) -> tuple[int, int]:
 
 def _max_matching(rows: Sequence[int]) -> int:
     """Size of a maximum matching of i -> j over the set bits j of
-    ``rows[i]``, grown one augmenting path at a time; each step of a path
-    visits a new j, so the recursion is at most len(rows) deep."""
+    ``rows[i]``, grown one augmenting path at a time.
+
+    Each path is a depth-first search kept on an explicit stack, so its
+    length is not bounded by the interpreter's recursion limit: ``path``
+    holds the left ends i along the path and ``via[k]`` the j that leads
+    from ``path[k]`` to ``path[k + 1]``, its current owner. Each step visits
+    a new j, trying the lowest unvisited one first.
+    """
     owner = [-1] * len(rows)
-    seen = 0
-
-    def augment(i: int) -> bool:
-        nonlocal seen
-        for j in bit_indices(rows[i] & ~seen):
-            if (seen >> j) & 1:
-                continue
-            seen |= 1 << j
-            if owner[j] < 0 or augment(owner[j]):
-                owner[j] = i
-                return True
-        return False
-
     size = 0
-    for i in range(len(rows)):
+    for root in range(len(rows)):
         seen = 0
-        size += augment(i)
+        path, via = [root], []
+        while path:
+            free = rows[path[-1]] & ~seen
+            if not free:  # dead end: back up to the previous left end
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            j = (free & -free).bit_length() - 1
+            seen |= 1 << j
+            via.append(j)
+            if owner[j] < 0:  # augment: each left end takes its next j
+                for i, jj in zip(path, via):
+                    owner[jj] = i
+                size += 1
+                break
+            path.append(owner[j])
     return size
 
 
@@ -274,28 +295,32 @@ def canonical_code(p: Poset) -> bytes:
     return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in rows)
 
 
-def components(p: Poset) -> list[Poset]:
-    """Connected components of the comparability graph, with induced order.
+def component_masks(p: Poset) -> list[int]:
+    """Connected components of the comparability graph, as masks.
 
     Largest component first; components of equal size keep the order of
     their least element index, whatever their shape.
     """
-    seen = 0
-    found: list[Poset] = []
-    for i in range(p.n):
-        if (seen >> i) & 1:
-            continue
-        comp = 1 << i
-        frontier = 1 << i
+    lt, gt = p.lt, p.gt
+    rest = (1 << p.n) - 1
+    found: list[int] = []
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             j = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
-            grow = p.comparable_mask(j) & ~comp
+            grow = (lt[j] | gt[j]) & ~comp
             comp |= grow
             frontier |= grow
-        seen |= comp
-        found.append(subposet(p, comp))
-    return sorted(found, key=lambda sub: -sub.n)
+        rest &= ~comp
+        found.append(comp)
+    return sorted(found, key=lambda mask: -mask.bit_count())
+
+
+def components(p: Poset) -> list[Poset]:
+    """Connected components of the comparability graph, with induced order,
+    in the order of ``component_masks``."""
+    return [subposet(p, mask) for mask in component_masks(p)]
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -309,7 +334,7 @@ def bit_indices(mask: int) -> list[int]:
 
 def chain_heights(rows: Sequence[int]) -> list[int]:
     """Size of the longest chain starting at each element and running
-    through its row: ``p.lt`` gives upward chains, ``dual(p).lt`` downward.
+    through its row: ``p.lt`` gives upward chains, ``p.gt`` downward.
 
     Rows are transitively closed, so every element in a row has a strictly
     smaller row; visiting elements by increasing row size settles each

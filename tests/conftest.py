@@ -74,6 +74,91 @@ def random_positive_poset(rng: random.Random, n: int) -> sr.Poset:
     return sr.dual(p) if style == "coflower" else p
 
 
+def relabel(p: sr.Poset, rng: random.Random) -> sr.Poset:
+    """The same named order with its elements in a shuffled index order."""
+    order = list(range(p.n))
+    rng.shuffle(order)
+    pos = {old: k for k, old in enumerate(order)}
+    rows = tuple(
+        sum(1 << pos[j] for j in range(p.n) if p.less(old, j)) for old in order
+    )
+    return sr.Poset(tuple(p.elements[old] for old in order), rows)
+
+
+def near_miss(rng: random.Random, n: int) -> sr.Poset:
+    """A flower, co-flower or union of chains with one point or one relation
+    added: often, but not always, no longer sub-representable."""
+    grow = rng.random() < 0.5
+    base = random_positive_poset(rng, n - 1 if grow else n)
+    names = base.elements
+    pairs = [(i, a, j, b) for i, a in enumerate(names) for j, b in enumerate(names) if i != j]
+    covers = [(a, b) for i, a, j, b in pairs if base.less(i, j)]
+    if grow:
+        up = rng.random() < 0.5
+        ties = rng.sample(names, min(base.n, rng.randint(0, 2)))
+        covers += [(t, "new") if up else ("new", t) for t in ties]
+        names += ("new",)
+    else:
+        loose = [(a, b) for i, a, j, b in pairs if not (base.comparable_mask(i) >> j) & 1]
+        if loose:
+            covers.append(rng.choice(loose))
+    return sr.poset_from_cover(names, covers)
+
+
+def components_by_subposet(p: sr.Poset) -> list[sr.Poset]:
+    """Reference components: a walk of the comparability graph from each
+    unvisited element in index order, an induced subposet per component,
+    then a stable sort by size, largest first."""
+    seen = 0
+    found = []
+    for i in range(p.n):
+        if (seen >> i) & 1:
+            continue
+        comp = frontier = 1 << i
+        while frontier:
+            j = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            grow = p.comparable_mask(j) & ~comp
+            comp |= grow
+            frontier |= grow
+        seen |= comp
+        found.append(sr.subposet(p, comp))
+    return sorted(found, key=lambda sub: -sub.n)
+
+
+def classify_reference(p: sr.Poset) -> dict:
+    """Reference for ``classify_finite(p).as_dict()`` built from derived
+    posets: ``is_chain_poset`` on each component subposet, the flower test
+    on p and then on ``dual(p)``, and the witness patterns searched in the
+    classifier's priority order."""
+
+    def verdict(kind: str, positive: bool, witness: dict | None) -> dict:
+        return {"kind": kind, "subRepresentable": positive, "witness": witness}
+
+    parts = components_by_subposet(p)
+    if all(sr.is_chain_poset(c) for c in parts):
+        return verdict("unionOfChains", True, {"chains": [list(c.elements) for c in parts]})
+    center = sr.is_flower(p)
+    if center is not None:
+        return verdict("flower", True, {"center": center})
+    center = sr.is_flower(sr.dual(p))
+    if center is not None:
+        return verdict("coFlower", True, {"center": center})
+
+    def match(kind: sr.PatternKind) -> dict | None:
+        image = sr.find_embedding(sr.pattern_poset(kind), p)
+        return None if image is None else {"pattern": kind.value, "map": image}
+
+    K = sr.PatternKind
+    found = [match(K.DIAMOND)]
+    if found[0] is None:
+        found = [match(K.VEE), match(K.WEDGE)]
+    if None in found:
+        found = [next(filter(None, map(match, sr.obstruction_patterns())), None)]
+    witness = None if None in found else {"patterns": found}
+    return verdict("notSubRepresentable", False, witness)
+
+
 def max_antichain_exhaustive(p: sr.Poset) -> int:
     """Reference width: the exact maximum antichain size by branch and
     bound over the elements, exponential in the worst case."""

@@ -6,7 +6,15 @@ import pytest
 
 import subrep as sr
 from subrep.ordinal import Card, fin, omega
-from conftest import fig1_poset, fig3_poset, random_poset
+from conftest import (
+    classify_reference,
+    fig1_poset,
+    fig3_poset,
+    near_miss,
+    random_poset,
+    random_positive_poset,
+    relabel,
+)
 
 
 def test_is_flower_examples():
@@ -266,3 +274,64 @@ def test_verdict_as_dict_round_trip():
     assert d["kind"] == "flower"
     assert d["subRepresentable"] is True
     assert d["witness"] == {"center": "2"}
+
+
+def test_classifier_matches_reference_on_small_classes(classes_by_n):
+    """Every class with n <= 5, under three relabelings each: the verdict,
+    and the witness with its names in order, equal the reference built
+    from component subposets and the dual."""
+    rng = random.Random(1601)
+    for classes in classes_by_n.values():
+        for p in classes:
+            for _ in range(3):
+                q = relabel(p, rng)
+                assert sr.classify_finite(q).as_dict() == classify_reference(q)
+
+
+def test_classifier_matches_reference_on_larger_posets():
+    """200 seeded posets with 11-16 points: unions of chains, flowers and
+    co-flowers, and the same with one point or one relation planted."""
+    rng = random.Random(1602)
+    kinds = set()
+    for k in range(200):
+        n = rng.randint(11, 16)
+        p = random_positive_poset(rng, n) if k % 2 else near_miss(rng, n)
+        got = sr.classify_finite(p).as_dict()
+        assert got == classify_reference(p)
+        kinds.add(got["kind"])
+    assert kinds == {"unionOfChains", "flower", "coFlower", "notSubRepresentable"}
+
+
+def test_classification_builds_no_subposets(classes_by_n, monkeypatch):
+    """The classifier reads the parsed poset's rows and component masks:
+    it builds no subposet, no dual and no other Poset."""
+    for kind in sr.PatternKind:
+        sr.pattern_poset(kind)  # cached, so built once before the guard
+    rng = random.Random(1603)
+    posets = [p for classes in classes_by_n.values() for p in classes]
+    posets += [near_miss(rng, rng.randint(3, 14)) for _ in range(60)]
+
+    def refuse(*args):
+        raise AssertionError("derived poset built")
+
+    for target in ("subrep.poset.subposet", "subrep.poset.dual", "subrep.classify.subposet"):
+        monkeypatch.setattr(target, refuse)
+    monkeypatch.setattr(sr.Poset, "__post_init__", refuse)
+    for p in posets:
+        sr.classify_finite(p)
+
+
+def test_obstructions_decide_near_misses():
+    """Near misses with 30-60 points: no embedding of any of the seven
+    four-point obstructions exactly when the classifier says
+    sub-representable."""
+    rng = random.Random(1604)
+    obstructions = [sr.pattern_poset(k) for k in sr.obstruction_patterns()]
+    verdicts = []
+    for _ in range(60):
+        p = near_miss(rng, rng.randint(30, 60))
+        clean = not any(sr.embeds(o, p) for o in obstructions)
+        verdict = sr.classify_finite(p).sub_representable
+        assert clean == verdict
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -300,9 +300,12 @@ SEVENTEEN_CHAIN = (
         (["survey", "-1"], None, 2),
         (["survey", "7"], None, 2),
         (["subrep", "{file}"], SEVENTEEN_CHAIN, 2),
+        (["pinboard", "theta", "pin (w2,12) (7,aleph3)", "pin (3,1)", "pin (2,1)"], None, 1),
+        (["pinboard", "embed", "pin (w2,12) (7,aleph3)", "pin (3,1)"], None, 1),
     ],
     ids=["not-utf8", "zero-multiplicity", "superscript-count", "long-count",
-         "survey-zero", "survey-negative", "survey-too-large", "table-too-large"],
+         "survey-zero", "survey-negative", "survey-too-large", "table-too-large",
+         "theta-two-subsets", "embed-one-subset"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, data, want):
     path = tmp_path / "in.poset"

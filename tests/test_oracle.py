@@ -89,6 +89,24 @@ def test_survey_n6_all_agree(survey6):
     assert sum(r.oracle_positive for r in survey6) == 19
 
 
+def test_obstructions_decide_every_class(survey6, classes_by_n, oracle_verdicts):
+    """All 405 classes with n <= 6: no embedding of any of the seven
+    four-point obstructions exactly when the oracle finds a map."""
+    obstructions = [sr.pattern_poset(k) for k in sr.obstruction_patterns()]
+
+    def clean(p):
+        return not any(sr.embeds(o, p) for o in obstructions)
+
+    pairs = [(clean(r.poset), r.oracle_positive) for r in survey6]
+    pairs += [
+        (clean(p), oracle_verdicts[sr.canonical_code(p)])
+        for classes in classes_by_n.values()
+        for p in classes
+    ]
+    assert len(pairs) == 405
+    assert all(mine == oracle for mine, oracle in pairs)
+
+
 def test_mutual_embeds_equal_size_forces_isomorphism():
     """The forced shape of any witnessing table on finite posets."""
     rng = random.Random(404)

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subrep as sr
-from subrep.poset import chain_heights, is_chain_mask
-from conftest import fig1_poset, fig3_poset, max_antichain_exhaustive, random_poset
+from subrep.poset import chain_heights, component_masks, is_chain_mask
+from conftest import (
+    components_by_subposet,
+    fig1_poset,
+    fig3_poset,
+    max_antichain_exhaustive,
+    random_poset,
+)
 
 
 def test_from_cover_transitive_closure():
@@ -93,6 +99,26 @@ def test_width_matches_branch_and_bound():
     for _ in range(1000):
         p = random_poset(rng, rng.randint(1, 12), rng.uniform(0.02, 0.6))
         assert sr.height_width(p)[1] == max_antichain_exhaustive(p)
+
+
+def test_width_of_long_fence():
+    """A fence a_k < b_(k-1), b_k of 2400 points, whose augmenting paths run
+    its whole length, keeps clear of the recursion limit."""
+    k = 1200
+    names = tuple(f"a{i}" for i in range(k)) + tuple(f"b{i}" for i in range(k))
+    rows = tuple((1 << (k + i)) | (1 << (k + i - 1) if i else 0) for i in range(k))
+    fence = sr.Poset(names, rows + (0,) * k)
+    assert sr.height_width(fence) == (2, 1200)
+
+
+def test_component_masks_match_reference():
+    rng = random.Random(1605)
+    for _ in range(100):
+        p = random_poset(rng, rng.randint(1, 12), rng.choice([0.05, 0.15, 0.3]))
+        masks = component_masks(p)
+        assert [sr.names_of(p, m) for m in masks] == [
+            c.elements for c in components_by_subposet(p)
+        ]
 
 
 def test_canonical_code_iso_invariance():
