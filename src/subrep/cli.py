@@ -25,7 +25,7 @@ from .construct import build_g, verify_subrep
 from .embed import find_embedding, pattern_poset, PatternKind, all_embeddings
 from .errors import ParseError, SubrepError
 from .oracle import oracle_subrep, survey
-from .ordinal import Card, OrdinalExpr, ZERO, fin, omega, ord_sum
+from .ordinal import Card, OrdinalExpr, fin, omega, ord_sum
 from .pinboard import (
     Pinboard,
     PinSubset,
@@ -48,7 +48,7 @@ _COVER_RE = re.compile(r"(\S+)\s*<\s*(\S+)")
 _ORDINAL_RE = re.compile(r"w(\d+)(?:\*(\d+))?|(\d+)")
 _CARDINAL_RE = re.compile(r"aleph(\d+)|(\d+)")
 _BOARD_RE = re.compile(r"(pin|copin)\b")
-_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+_PAIR_RE = re.compile(r"\s*\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 
 
 def parse_poset_text(text: str) -> Poset:
@@ -82,7 +82,7 @@ def load_poset(path: str) -> Poset:
 
 
 def parse_ordinal(text: str) -> OrdinalExpr:
-    total = ZERO
+    total: OrdinalExpr | None = None
     for token in text.strip().split("+"):
         token = token.strip()
         m = _ORDINAL_RE.fullmatch(token)
@@ -92,7 +92,7 @@ def parse_ordinal(text: str) -> OrdinalExpr:
             term = fin(int(m[3])) if m[3] else omega(int(m[1]), int(m[2] or 1))
         except ValueError as exc:  # zero multiplicity, or too many digits
             raise ParseError(f"bad ordinal token {token!r}: {exc}") from None
-        total = ord_sum(total, term)
+        total = term if total is None else ord_sum(total, term)
     return total
 
 
@@ -117,11 +117,11 @@ def parse_pair_list(text: str) -> tuple[list[tuple[OrdinalExpr, Card]], bool]:
     starred = m.group(1) == "copin"
     body = text[m.end():].strip()
     pairs = []
+    # Each pair follows the one before after whitespace only; a stretch
+    # that no pair starts fails once the pairs before it are parsed.
     consumed = 0
-    for pm in _PAIR_RE.finditer(body):
-        if body[consumed : pm.start()].strip():
-            raise ParseError("pinboard pairs must look like (height,freq)")
-        pairs.append((parse_ordinal(pm.group(1)), parse_cardinal(pm.group(2))))
+    while pm := _PAIR_RE.match(body, consumed):
+        pairs.append((parse_ordinal(pm[1]), parse_cardinal(pm[2])))
         consumed = pm.end()
     if body[consumed:].strip() or not pairs:
         raise ParseError("pinboard pairs must look like (height,freq)")

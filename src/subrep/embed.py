@@ -145,7 +145,10 @@ def _search(p1: Poset, p2: Poset, limit: int | None = 1) -> list[tuple[int, ...]
                     return True
         return False
 
-    rec(0, cand)
+    try:
+        rec(0, cand)
+    finally:
+        rec = None  # rec refers to itself through this cell: free it without gc
     return found
 
 

@@ -55,7 +55,11 @@ def oracle_subrep(p: Poset) -> SubRepMap | None:
                 chosen.pop()
         return False
 
-    if not backtrack():
+    try:
+        found = backtrack()
+    finally:
+        backtrack = None  # backtrack refers to itself through this cell: free it without gc
+    if not found:
         return None
     table = {mask: rep for rep, group in zip(chosen, classes) for mask in group}
     return SubRepMap(p, table)

@@ -90,9 +90,8 @@ def ord_sum(a: OrdinalExpr, b: OrdinalExpr) -> OrdinalExpr:
 
 def ord_cmp(a: OrdinalExpr, b: OrdinalExpr) -> int:
     """-1, 0 or 1 as a < b, a = b or a > b."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
+    ka, kb = (a.terms, a.tail), (b.terms, b.tail)
+    return (ka > kb) - (ka < kb)
 
 
 @total_ordering

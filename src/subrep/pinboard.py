@@ -7,11 +7,14 @@ the same data with every chain read upside down (``starred``). Subsets of
 a simple pinboard are normalized descriptors, and ``theta`` lays their
 columns out, tallest first, over consecutive column blocks of the host;
 containment of the resulting segment tables characterizes embeddability.
+Subset pairs and table runs are kept in decreasing height order, so
+``pin_embeds`` and ``theta_subset`` decide in one walk down each list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Iterable, Union
 
 from .errors import (
@@ -31,7 +34,7 @@ from .ordinal import (
     ord_cmp,
     ord_sum,
 )
-from .poset import Poset, poset_from_cover
+from .poset import Poset
 
 Pair = tuple[OrdinalExpr, Card]
 
@@ -44,7 +47,8 @@ def _merge_pairs(pairs: Iterable[Pair]) -> list[Pair]:
             by_height[height] = card_sum(by_height[height], freq)
         else:
             by_height[height] = freq
-    return sorted(by_height.items(), key=lambda hf: hf[0], reverse=True)
+    # (terms, tail) is the order of OrdinalExpr.__lt__, without a call per comparison
+    return sorted(by_height.items(), key=lambda hf: (hf[0].terms, hf[0].tail), reverse=True)
 
 
 def _check_pairs(pairs: Iterable[Pair]) -> None:
@@ -126,20 +130,22 @@ def normalize_subset(raw: Iterable[Pair], host: SimplePinboard) -> PinSubset:
 def _check_fit(pairs: list[Pair], host: SimplePinboard) -> None:
     beta_ord = initial_ordinal(host.beta)
     m_ord = fin(host.m)
-    tall_total = Card.fin(0)
+    tall: list[Card] = []  # frequencies of the heights above m
     for height, freq in pairs:
         if height.is_zero:
             raise DoesNotFit("subset heights must be positive")
         if ord_cmp(height, beta_ord) > 0:
             raise DoesNotFit(f"height {height} exceeds the tall columns ({beta_ord})")
         if ord_cmp(height, m_ord) > 0:
-            tall_total = card_sum(tall_total, freq)
+            tall.append(freq)
         elif card_cmp(freq, host.gamma) > 0:
             raise DoesNotFit(f"frequency {freq} of height {height} exceeds {host.gamma}")
-    if card_cmp(tall_total, Card.fin(host.n)) > 0:
-        raise DoesNotFit(
-            f"{tall_total} columns taller than {host.m} exceed the {host.n} tall columns"
-        )
+    if tall:
+        tall_total = reduce(card_sum, tall)
+        if card_cmp(tall_total, Card.fin(host.n)) > 0:
+            raise DoesNotFit(
+                f"{tall_total} columns taller than {host.m} exceed the {host.n} tall columns"
+            )
 
 
 @dataclass(frozen=True)
@@ -174,15 +180,6 @@ def run_positions(
     return out
 
 
-def _cumulative_ordinal(segs: ThetaSegments, height: OrdinalExpr) -> OrdinalExpr:
-    total = ZERO
-    for count, h in segs.runs:
-        if ord_cmp(h, height) < 0:
-            break
-        total = ord_sum(total, initial_ordinal(count))
-    return total
-
-
 def theta_subset(a: ThetaSegments, b: ThetaSegments) -> bool:
     """Column-wise containment: at every column position the height of a
     is at most the height of b.
@@ -190,31 +187,47 @@ def theta_subset(a: ThetaSegments, b: ThetaSegments) -> bool:
     The column heights are non-increasing step functions, so containment
     holds iff at every height threshold of a, the block of a-columns
     reaching it is no longer (as an ordinal position) than b's block.
+    Both tables list their runs tallest first, so one walk down a, with a
+    pointer into b, adds up both blocks as the threshold falls; a later
+    run of equal height only lengthens a's block, so equal heights give
+    the verdict of the threshold's last run.
     """
     if a.host != b.host:
         raise HostMismatch("segment tables belong to different hosts")
-    for _, height in a.runs:
-        if ord_cmp(_cumulative_ordinal(a, height), _cumulative_ordinal(b, height)) > 0:
+    other = b.runs
+    j = 0
+    pos, reach = ZERO, ZERO
+    for count, height in a.runs:
+        pos = ord_sum(pos, initial_ordinal(count))
+        while j < len(other) and ord_cmp(other[j][1], height) >= 0:
+            reach = ord_sum(reach, initial_ordinal(other[j][0]))
+            j += 1
+        if ord_cmp(pos, reach) > 0:
             return False
     return True
-
-
-def _cumulative_card(pairs: tuple[Pair, ...], height: OrdinalExpr) -> Card:
-    total = Card.fin(0)
-    for h, f in pairs:
-        if ord_cmp(h, height) >= 0:
-            total = card_sum(total, f)
-    return total
 
 
 def pin_embeds(y: PinSubset, y2: PinSubset) -> bool:
     """Embeddability of subset posets by the cumulative-frequency test:
     for every height of y, the columns of y at least that tall must fit
-    injectively among the columns of y2 at least that tall."""
+    injectively among the columns of y2 at least that tall.
+
+    Both subsets list their pairs tallest first, so one walk down y, with
+    a pointer into y2, adds up both counts as the height falls; equal
+    heights, which a normalized subset never has, give the verdict of
+    their last pair.
+    """
     if y.host != y2.host:
         raise HostMismatch("subsets belong to different hosts")
-    for height, _ in y.pairs:
-        if card_cmp(_cumulative_card(y.pairs, height), _cumulative_card(y2.pairs, height)) > 0:
+    other = y2.pairs
+    j = 0
+    need = have = Card.fin(0)
+    for height, freq in y.pairs:
+        need = card_sum(need, freq)
+        while j < len(other) and ord_cmp(other[j][0], height) >= 0:
+            have = card_sum(have, other[j][1])
+            j += 1
+        if card_cmp(need, have) > 0:
             return False
     return True
 
@@ -232,17 +245,21 @@ def co_dual(x: CoDualable) -> CoDualable:
 
 def pinboard_poset(pb: Pinboard | PinSubset) -> Poset:
     """Explicit poset of an all-finite pinboard: freq-many copies of each
-    height-chain, elements named c{pair}_{copy}_{level}."""
+    height-chain, elements named c{pair}_{copy}_{level}, with each chain's
+    closed relation rows written directly."""
     for height, freq in pb.pairs:
         if not height.is_finite or freq.is_infinite:
             raise InfinitePinboard(
                 f"cannot expand ({height},{freq}); both entries must be finite"
             )
     names: list[str] = []
-    covers: list[tuple[str, str]] = []
+    rows: list[int] = []
     for i, (height, freq) in enumerate(pb.pairs):
+        h = height.as_finite()
+        # level l of a chain lies below its levels l + 1 .. h - 1
+        chain = [((1 << (h - level - 1)) - 1) << (level + 1) for level in range(h)]
         for j in range(freq.value):
-            levels = [f"c{i}_{j}_{level}" for level in range(height.as_finite())]
-            names.extend(levels)
-            covers.extend(zip(levels, levels[1:]))
-    return poset_from_cover(names, covers)
+            base = len(names)
+            names += [f"c{i}_{j}_{level}" for level in range(h)]
+            rows += [row << base for row in chain]
+    return Poset(tuple(names), tuple(rows))

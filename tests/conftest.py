@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import Iterator
 
 import pytest
@@ -199,6 +200,36 @@ def enumerate_by_relations(n: int) -> list[bytes]:
     return sorted(codes)
 
 
+def criterion8_instance(rng: random.Random):
+    """A finite host of acceptance criterion 8 with two raw subsets of it,
+    each None when it has more than 22 elements."""
+    m = rng.randint(1, 3)
+    n = rng.randint(0, 3)
+    host = sr.SimplePinboard(sr.Card.aleph(0), n, m, sr.Card.aleph(0))
+    beta_bound = rng.randint(m + 1, 6)
+
+    def subset():
+        pairs = []
+        total = 0
+        budget = rng.randint(0, n)
+        tall = rng.sample(range(m + 1, beta_bound + 1), k=min(budget, beta_bound - m))
+        used = 0
+        for h in tall:
+            f = rng.randint(1, max(1, budget - used))
+            if used + f <= n:
+                pairs.append((sr.fin(h), sr.Card.fin(f)))
+                used += f
+                total += h * f
+        for h in range(1, m + 1):
+            f = rng.randint(0, 3)
+            if f:
+                pairs.append((sr.fin(h), sr.Card.fin(f)))
+                total += h * f
+        return pairs if total <= 22 else None
+
+    return host, subset(), subset()
+
+
 @pytest.fixture(scope="session")
 def classes_by_n() -> dict[int, list[sr.Poset]]:
     return {n: sr.enumerate_posets(n) for n in range(1, 6)}
@@ -212,3 +243,116 @@ def oracle_verdicts(classes_by_n) -> dict[bytes, bool]:
         for p in classes:
             out[sr.canonical_code(p)] = sr.oracle_subrep(p) is not None
     return out
+
+
+# ---------------------------------------------------------------------------
+# references for the pinboard path: the per-height rescans, the chain poset
+# built from covers and closed, and the pair parser with its own regexes
+
+
+def _cumulative_card_rescan(pairs, height):
+    total = sr.Card.fin(0)
+    for h, f in pairs:
+        if sr.ord_cmp(h, height) >= 0:
+            total = sr.card_sum(total, f)
+    return total
+
+
+def pin_embeds_rescan(y, y2) -> bool:
+    """``pin_embeds`` recounting both subsets from the top at every height."""
+    if y.host != y2.host:
+        raise sr.HostMismatch("subsets belong to different hosts")
+    return all(
+        sr.card_cmp(_cumulative_card_rescan(y.pairs, h), _cumulative_card_rescan(y2.pairs, h)) <= 0
+        for h, _ in y.pairs
+    )
+
+
+def _cumulative_ordinal_rescan(segs, height):
+    total = sr.ZERO
+    for count, h in segs.runs:
+        if sr.ord_cmp(h, height) < 0:
+            break
+        total = sr.ord_sum(total, sr.initial_ordinal(count))
+    return total
+
+
+def theta_subset_rescan(a, b) -> bool:
+    """``theta_subset`` re-adding both tables' blocks at every height."""
+    if a.host != b.host:
+        raise sr.HostMismatch("segment tables belong to different hosts")
+    return all(
+        sr.ord_cmp(_cumulative_ordinal_rescan(a, h), _cumulative_ordinal_rescan(b, h)) <= 0
+        for _, h in a.runs
+    )
+
+
+def pinboard_poset_by_covers(pb) -> sr.Poset:
+    """``pinboard_poset`` from the cover list of each chain, then closed."""
+    for height, freq in pb.pairs:
+        if not height.is_finite or freq.is_infinite:
+            raise sr.InfinitePinboard(
+                f"cannot expand ({height},{freq}); both entries must be finite"
+            )
+    names: list[str] = []
+    covers: list[tuple[str, str]] = []
+    for i, (height, freq) in enumerate(pb.pairs):
+        for j in range(freq.value):
+            levels = [f"c{i}_{j}_{level}" for level in range(height.as_finite())]
+            names.extend(levels)
+            covers.extend(zip(levels, levels[1:]))
+    return sr.poset_from_cover(names, covers)
+
+
+_REF_ORDINAL_RE = re.compile(r"w(\d+)(?:\*(\d+))?|(\d+)")
+_REF_CARDINAL_RE = re.compile(r"aleph(\d+)|(\d+)")
+_REF_BOARD_RE = re.compile(r"(pin|copin)\b")
+_REF_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+
+
+def parse_ordinal_reference(text: str) -> sr.OrdinalExpr:
+    """``cli.parse_ordinal`` summing every term onto ``ZERO``."""
+    total = sr.ZERO
+    for token in text.strip().split("+"):
+        token = token.strip()
+        m = _REF_ORDINAL_RE.fullmatch(token)
+        if not m:
+            raise sr.ParseError(f"bad ordinal token {token!r}")
+        try:
+            term = sr.fin(int(m[3])) if m[3] else sr.omega(int(m[1]), int(m[2] or 1))
+        except ValueError as exc:
+            raise sr.ParseError(f"bad ordinal token {token!r}: {exc}") from None
+        total = sr.ord_sum(total, term)
+    return total
+
+
+def parse_cardinal_reference(text: str) -> sr.Card:
+    text = text.strip()
+    m = _REF_CARDINAL_RE.fullmatch(text)
+    if not m:
+        raise sr.ParseError(f"bad cardinal token {text!r}")
+    try:
+        return sr.Card.fin(int(m[2])) if m[2] else sr.Card.aleph(int(m[1]))
+    except ValueError as exc:
+        raise sr.ParseError(f"bad cardinal token {text!r}: {exc}") from None
+
+
+def parse_pair_list_reference(text: str):
+    """``cli.parse_pair_list`` finding each pair anywhere after the last one
+    and then checking that only whitespace came between."""
+    text = text.strip()
+    m = _REF_BOARD_RE.match(text)
+    if not m:
+        raise sr.ParseError("pinboard text must start with 'pin' or 'copin'")
+    starred = m.group(1) == "copin"
+    body = text[m.end():].strip()
+    pairs = []
+    consumed = 0
+    for pm in _REF_PAIR_RE.finditer(body):
+        if body[consumed : pm.start()].strip():
+            raise sr.ParseError("pinboard pairs must look like (height,freq)")
+        pairs.append((parse_ordinal_reference(pm.group(1)), parse_cardinal_reference(pm.group(2))))
+        consumed = pm.end()
+    if body[consumed:].strip() or not pairs:
+        raise sr.ParseError("pinboard pairs must look like (height,freq)")
+    return pairs, starred

@@ -10,7 +10,7 @@ import pytest
 
 import subrep as sr
 from subrep.ordinal import Card, ZERO, fin, omega
-from conftest import fig1_poset, random_positive_poset
+from conftest import criterion8_instance, fig1_poset, random_positive_poset
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -172,40 +172,12 @@ def test_criterion_7_section2_golden_example():
     assert ok
 
 
-def _random_finite_instance(rng):
-    m = rng.randint(1, 3)
-    n = rng.randint(0, 3)
-    host = sr.SimplePinboard(Card.aleph(0), n, m, Card.aleph(0))
-    beta_bound = rng.randint(m + 1, 6)
-
-    def subset():
-        pairs = []
-        total = 0
-        budget = rng.randint(0, n)
-        tall = rng.sample(range(m + 1, beta_bound + 1), k=min(budget, beta_bound - m))
-        used = 0
-        for h in tall:
-            f = rng.randint(1, max(1, budget - used))
-            if used + f <= n:
-                pairs.append((fin(h), Card.fin(f)))
-                used += f
-                total += h * f
-        for h in range(1, m + 1):
-            f = rng.randint(0, 3)
-            if f:
-                pairs.append((fin(h), Card.fin(f)))
-                total += h * f
-        return pairs if total <= 22 else None
-
-    return host, subset(), subset()
-
-
 def test_criterion_8_theta_theorem_finite_scale():
     rng = random.Random(314159)
     done = 0
     failures = 0
     while done < 1000:
-        host, raw1, raw2 = _random_finite_instance(rng)
+        host, raw1, raw2 = criterion8_instance(rng)
         if raw1 is None or raw2 is None:
             continue
         y1 = sr.normalize_subset(raw1, host)

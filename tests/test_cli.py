@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,11 @@ from hypothesis import given, settings, strategies as st
 import subrep as sr
 from subrep import cli
 from subrep.ordinal import Card, fin, omega
+from conftest import (
+    parse_cardinal_reference,
+    parse_ordinal_reference,
+    parse_pair_list_reference,
+)
 
 
 FIG3 = """\
@@ -81,6 +87,48 @@ def test_parse_cardinal():
     assert cli.parse_cardinal("12") == Card.fin(12)
     with pytest.raises(sr.ParseError):
         cli.parse_cardinal("w1")
+
+
+_TOKENS = (
+    "0", "1", "7", "30", "00", "007", "\u0663", "w0", "w1", "w12", "w1*1", "w0*0",
+    "w1*1+3", "3+w0", "w0+w0", "w2+w1*3+4", "w0 + 5", " w1 ", "w", "w*2", "ww1",
+    "w1*", "w\u0663", "+", "1+", "", "aleph0", "aleph12", "aleph", "aleph\u0663",
+    "aleph01", "alpha", "-1", "1.5", "x", "9" * 5000,
+)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except sr.ParseError as exc:
+        return "error", str(exc)
+
+
+def test_parsers_match_reference():
+    """The ordinal, cardinal and pair-list parsers give the results, or the
+    error messages, of the reference parser: on every token, on every
+    one-pair text, on malformed lists, and on seeded random texts."""
+    for token in _TOKENS:
+        assert _outcome(cli.parse_ordinal, token) == _outcome(parse_ordinal_reference, token)
+        assert _outcome(cli.parse_cardinal, token) == _outcome(parse_cardinal_reference, token)
+    texts = [f"pin ({h},{f})" for h in _TOKENS for f in _TOKENS]
+    texts += [
+        "copin (w0,1)  (2,aleph0)", "pin(1,1)", "pin", "pinx (1,1)", "PIN (1,1)",
+        "pin (1,1) x", "pin x (1,1)", "pin (1,1)x(2,1)", "pin ((1,1))", "pin (1,1),(2,2)",
+        "pin ( 1 , 1 )", " copin (\u0663,1) ", "pin (1,1) (", "pin (1,1) (w0*0,1)",
+        "pin (w0*0,1) junk", "pin (1,1) junk (w0*0,1)", "pin\u3000(1,1)\u2003(2,2)\x1c",
+        "pin (1,1)\n\t(2,2)", "pin (1 1) (2,2)", "pin (w0*0,1) (",
+    ]
+    rng = random.Random(1357)
+    leads = ["pin", "copin", "pin ", "pinx", ""]
+    seps = [" ", " ", " ", "", "\u3000", "\t", "x", ",", "(", ")"]
+    heights = ["1", "w0", "w1*2", "3+w0", "\u0663", "00", "w0*0", "x", ""]
+    freqs = ["1", "aleph0", "\u0663", "00", "aleph", "w0", ""]
+    for _ in range(6000):
+        pairs = (f"({rng.choice(heights)},{rng.choice(freqs)})" for _ in range(rng.randint(0, 4)))
+        texts.append(rng.choice(leads) + "".join(rng.choice(seps) + pair for pair in pairs))
+    for text in texts:
+        assert _outcome(cli.parse_pair_list, text) == _outcome(parse_pair_list_reference, text), text
 
 
 def test_parse_pinboard_syntax():

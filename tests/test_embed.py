@@ -1,5 +1,6 @@
 """Embedding search against the exhaustive oracle, plus pattern detection."""
 
+import gc
 import itertools
 import random
 
@@ -143,3 +144,34 @@ def test_obstructions_are_seven_distinct_four_point_posets():
     assert sr.PatternKind.DIAMOND in kinds
     pinned = [sr.canonical_code(sr.pattern_poset(k)) for k in kinds]
     assert pinned == sorted(pinned)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """The recursive searches free their closures by reference counting, so
+    with the cyclic collector off nothing is left for it to find."""
+    wedge = sr.pattern_poset(sr.PatternKind.WEDGE)
+    host = fig3_poset()
+    negative = sr.poset_from_cover("abcdef", [("a", "b"), ("a", "c"), ("d", "e")])
+    board = sr.SimplePinboard(sr.Card.aleph(0), 3, 2, sr.Card.aleph(0))
+    small, big = (
+        sr.pinboard_poset(sr.normalize_subset([(sr.fin(h), sr.Card.fin(1)), (sr.fin(2), sr.Card.fin(f))], board))
+        for h, f in ((3, 2), (4, 3))
+    )
+    calls = [
+        lambda: sr.find_embedding(wedge, host),
+        lambda: sr.embeds(small, big),
+        lambda: sr.all_embeddings(wedge, host),
+        lambda: sr.classify_finite(negative),
+        lambda: sr.oracle_subrep(host),
+    ]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(200):
+                call()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -8,6 +8,12 @@ import pytest
 import subrep as sr
 from subrep import cli
 from subrep.ordinal import Card, fin, omega
+from conftest import (
+    criterion8_instance,
+    pin_embeds_rescan,
+    pinboard_poset_by_covers,
+    theta_subset_rescan,
+)
 
 
 HOST = sr.SimplePinboard(Card.aleph(2), 12, 7, Card.aleph(3))
@@ -328,16 +334,53 @@ def _hall_embeds(pairs_a, pairs_b) -> bool:
 
 def test_hall_condition_matches_pin_embeds_and_theta_subset():
     """A third opinion on the raw pairs, before normalization drops the
-    absorbed entries, agrees with both decisions on the normalized subsets."""
+    absorbed entries, agrees with both decisions on the normalized subsets
+    and on their co-forms, and with the per-height rescans that the
+    one-pass decisions replaced."""
     rng = random.Random(2718)
     raws = [_random_symbolic_pairs(rng) for _ in range(200)]
     subsets = [sr.normalize_subset(raw, HOST) for raw in raws]
     tables = [sr.theta(HOST, y) for y in subsets]
-    for raw, y, t in zip(raws, subsets, tables):
-        for raw2, y2, t2 in zip(raws, subsets, tables):
+    forms = list(zip(raws, subsets, tables, map(sr.co_dual, subsets), map(sr.co_dual, tables)))
+    for raw, y, t, co_y, co_t in forms:
+        for raw2, y2, t2, co_y2, co_t2 in forms:
             hall = _hall_embeds(raw, raw2)
-            assert sr.pin_embeds(y, y2) == hall, (raw, raw2)
-            assert sr.theta_subset(t, t2) == hall, (raw, raw2)
+            assert sr.pin_embeds(y, y2) == pin_embeds_rescan(y, y2) == hall, (raw, raw2)
+            assert sr.theta_subset(t, t2) == theta_subset_rescan(t, t2) == hall, (raw, raw2)
+            assert sr.pin_embeds(co_y, co_y2) == sr.theta_subset(co_t, co_t2) == hall, (raw, raw2)
+
+
+def test_one_pass_tests_take_equal_heights():
+    """Pair lists with every entry doubled have the equal heights that
+    normalization never leaves; the one-pass tests give them the verdicts
+    of the per-height rescans."""
+    rng = random.Random(2718)
+    doubled = [
+        sr.PinSubset(HOST, tuple(p for p in _random_symbolic_subset(rng).pairs for _ in range(2)))
+        for _ in range(60)
+    ]
+    tables = [sr.theta(HOST, y) for y in doubled]
+    for y, t in zip(doubled, tables):
+        for y2, t2 in zip(doubled, tables):
+            assert sr.pin_embeds(y, y2) == pin_embeds_rescan(y, y2), (y.pairs, y2.pairs)
+            assert sr.theta_subset(t, t2) == theta_subset_rescan(t, t2), (t.runs, t2.runs)
+
+
+def test_pinboard_poset_matches_cover_closure():
+    """The chain rows written directly equal the closure of each chain's
+    covers on every subset the criterion-8 generator yields."""
+    rng = random.Random(314159)
+    seen = 0
+    for _ in range(1000):
+        host, *raws = criterion8_instance(rng)
+        for raw in raws:
+            if raw is None:
+                continue
+            y = sr.normalize_subset(raw, host)
+            got, want = sr.pinboard_poset(y), pinboard_poset_by_covers(y)
+            assert (got.elements, got.lt) == (want.elements, want.lt), y.pairs
+            seen += 1
+    assert seen > 1000
 
 
 def _finite_model(y, stand_ins):
@@ -433,6 +476,46 @@ def test_mutual_theta_subset_means_equal_tables():
         for b in tables:
             if sr.theta_subset(a, b) and sr.theta_subset(b, a):
                 assert a.runs == b.runs
+
+
+def _theta_model_table(n, big, m, g):
+    """The finite model of the simple host {(beta, n), (m, gamma)} with n
+    columns of height ``big`` and g of height m, tallest first, and the
+    table sending each subset to the bottoms of the columns that ``theta``
+    assigns its traces."""
+    host = sr.SimplePinboard(Card.aleph(0), n, m, Card.aleph(0))
+    model = sr.pinboard_poset(sr.pinboard([(fin(big), Card.fin(n)), (fin(m), Card.fin(g))]))
+    heights = [big] * n + [m] * g
+    columns = list(zip(itertools.accumulate(heights[:-1], initial=0), heights))  # (bottom, height)
+    table = {}
+    for mask in range(1, 1 << model.n):
+        traces = [((mask >> base) & ((1 << h) - 1)).bit_count() for base, h in columns]
+        y = sr.normalize_subset([(fin(t), Card.fin(1)) for t in traces if t], host)
+        free = iter(columns)
+        image = 0
+        for count, height in sr.theta(host, y).runs:
+            for _ in range(count.value):
+                image |= ((1 << height.as_finite()) - 1) << next(free)[0]
+        table[mask] = image
+    return model, table
+
+
+def test_theta_is_the_finite_construction():
+    """On finite models of simple hosts, theta's column assignment is
+    build_g's union-of-chains table entry for entry, up to 9 points, and
+    verify_subrep accepts it up to 7 (each verify at 8-9 points costs
+    0.2-1.8 s)."""
+    models = [
+        (n, big, m, g)
+        for m in range(1, 9) for big in range(m + 1, 10)
+        for n in range(1, 9 // big + 1) for g in range(1, (9 - n * big) // m + 1)
+    ]
+    assert len(models) == 55
+    for shape in models:
+        model, table = _theta_model_table(*shape)
+        assert table == sr.build_g(model).table, shape
+        if model.n <= 7:
+            assert sr.verify_subrep(model, sr.SubRepMap(model, table)) == [], shape
 
 
 def test_theta_monotone_finite_scale():
