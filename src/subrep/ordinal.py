@@ -51,7 +51,7 @@ class OrdinalExpr:
         return self.tail
 
     def __lt__(self, other: "OrdinalExpr") -> bool:
-        return (self.terms, self.tail) < (other.terms, other.tail)
+        return ord_key(self) < ord_key(other)
 
     def __str__(self) -> str:
         parts = [f"w{k}" if m == 1 else f"w{k}*{m}" for k, m in self.terms]
@@ -88,9 +88,16 @@ def ord_sum(a: OrdinalExpr, b: OrdinalExpr) -> OrdinalExpr:
     return OrdinalExpr(kept + ((lead, lead_mult),) + b.terms[1:], b.tail)
 
 
+def ord_key(a: OrdinalExpr) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Sort key of the ordinal order: the normalized terms compare
+    lexicographically (a larger omega index or multiplicity first is
+    larger, and a proper prefix is smaller), then the finite tail."""
+    return (a.terms, a.tail)
+
+
 def ord_cmp(a: OrdinalExpr, b: OrdinalExpr) -> int:
     """-1, 0 or 1 as a < b, a = b or a > b."""
-    ka, kb = (a.terms, a.tail), (b.terms, b.tail)
+    ka, kb = ord_key(a), ord_key(b)
     return (ka > kb) - (ka < kb)
 
 

@@ -14,7 +14,6 @@ Subset pairs and table runs are kept in decreasing height order, so
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Iterable, Union
 
 from .errors import (
@@ -32,6 +31,7 @@ from .ordinal import (
     fin,
     initial_ordinal,
     ord_cmp,
+    ord_key,
     ord_sum,
 )
 from .poset import Poset
@@ -47,8 +47,16 @@ def _merge_pairs(pairs: Iterable[Pair]) -> list[Pair]:
             by_height[height] = card_sum(by_height[height], freq)
         else:
             by_height[height] = freq
-    # (terms, tail) is the order of OrdinalExpr.__lt__, without a call per comparison
-    return sorted(by_height.items(), key=lambda hf: (hf[0].terms, hf[0].tail), reverse=True)
+    return sorted(by_height.items(), key=lambda hf: ord_key(hf[0]), reverse=True)
+
+
+def _check_tallest_first(items: tuple[tuple, ...], at: int, what: str) -> None:
+    """Heights ``item[at]`` must not increase: the one-pass tests below
+    rely on this order. Equal heights may repeat."""
+    if len(items) > 1:
+        keys = [ord_key(item[at]) for item in items]
+        if keys != sorted(keys, reverse=True):
+            raise InvalidPinboard(f"{what} must be listed in decreasing height order")
 
 
 def _check_pairs(pairs: Iterable[Pair]) -> None:
@@ -99,10 +107,15 @@ class SimplePinboard:
 @dataclass(frozen=True)
 class PinSubset:
     """Normalized subset of a simple pinboard: heights strictly decreasing,
-    equal heights merged, absorbed entries dropped."""
+    equal heights merged, absorbed entries dropped. Built directly, the
+    pairs must still come tallest first (equal heights may repeat);
+    anything else raises InvalidPinboard."""
 
     host: SimplePinboard
     pairs: tuple[Pair, ...]
+
+    def __post_init__(self) -> None:
+        _check_tallest_first(self.pairs, 0, "subset pairs")
 
 
 def normalize_subset(raw: Iterable[Pair], host: SimplePinboard) -> PinSubset:
@@ -130,32 +143,35 @@ def normalize_subset(raw: Iterable[Pair], host: SimplePinboard) -> PinSubset:
 def _check_fit(pairs: list[Pair], host: SimplePinboard) -> None:
     beta_ord = initial_ordinal(host.beta)
     m_ord = fin(host.m)
-    tall: list[Card] = []  # frequencies of the heights above m
+    tall_total = Card.fin(0)
     for height, freq in pairs:
         if height.is_zero:
             raise DoesNotFit("subset heights must be positive")
         if ord_cmp(height, beta_ord) > 0:
             raise DoesNotFit(f"height {height} exceeds the tall columns ({beta_ord})")
         if ord_cmp(height, m_ord) > 0:
-            tall.append(freq)
+            tall_total = card_sum(tall_total, freq)
         elif card_cmp(freq, host.gamma) > 0:
             raise DoesNotFit(f"frequency {freq} of height {height} exceeds {host.gamma}")
-    if tall:
-        tall_total = reduce(card_sum, tall)
-        if card_cmp(tall_total, Card.fin(host.n)) > 0:
-            raise DoesNotFit(
-                f"{tall_total} columns taller than {host.m} exceed the {host.n} tall columns"
-            )
+    if card_cmp(tall_total, Card.fin(host.n)) > 0:
+        raise DoesNotFit(
+            f"{tall_total} columns taller than {host.m} exceed the {host.n} tall columns"
+        )
 
 
 @dataclass(frozen=True)
 class ThetaSegments:
     """Run-length column table: runs of (count, height) over consecutive
     column blocks starting at column 0, heights strictly decreasing, with
-    an implicit trailing run of height 0."""
+    an implicit trailing run of height 0. Built directly, the runs must
+    still come tallest first (equal heights may repeat); anything else
+    raises InvalidPinboard."""
 
     host: SimplePinboard
     runs: tuple[tuple[Card, OrdinalExpr], ...]
+
+    def __post_init__(self) -> None:
+        _check_tallest_first(self.runs, 1, "segment runs")
 
 
 def theta(host: SimplePinboard, y: PinSubset) -> ThetaSegments:

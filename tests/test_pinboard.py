@@ -366,6 +366,23 @@ def test_one_pass_tests_take_equal_heights():
             assert sr.theta_subset(t, t2) == theta_subset_rescan(t, t2), (t.runs, t2.runs)
 
 
+def test_hand_built_lists_out_of_height_order_are_refused():
+    """The one-pass tests read pairs and runs tallest first, so a list in
+    any other order is refused where it is built: on ((1,1),(3,2)) against
+    ((3,1),(1,5)) they would answer True where the rescans answer False."""
+    host = sr.SimplePinboard(Card.aleph(0), 2, 5, Card.aleph(0))
+    y = ((fin(1), Card.fin(1)), (fin(3), Card.fin(2)))
+    with pytest.raises(sr.InvalidPinboard, match="decreasing height order"):
+        sr.PinSubset(host, y)
+    with pytest.raises(sr.InvalidPinboard, match="decreasing height order"):
+        sr.ThetaSegments(host, tuple((f, h) for h, f in y))
+    # the same pairs tallest first are accepted, and both tests agree
+    y = sr.PinSubset(host, y[::-1])
+    y2 = sr.PinSubset(host, ((fin(3), Card.fin(1)), (fin(1), Card.fin(5))))
+    assert sr.pin_embeds(y, y2) == pin_embeds_rescan(y, y2) is False
+    assert sr.theta_subset(sr.theta(host, y), sr.theta(host, y2)) is False
+
+
 def test_pinboard_poset_matches_cover_closure():
     """The chain rows written directly equal the closure of each chain's
     covers on every subset the criterion-8 generator yields."""

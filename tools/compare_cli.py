@@ -24,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEED = 1  # one fixed corpus, so reports of "N commands, 0 differences" compare
+
 RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -97,8 +99,8 @@ def _subset(rng: random.Random, word: str, k: int, n: int, m: int, g: int) -> st
     return text
 
 
-def corpus(seed: int, workdir: Path) -> list[list[str]]:
-    rng = random.Random(seed)
+def corpus(workdir: Path) -> list[list[str]]:
+    rng = random.Random(SEED)
     commands = [["demo", name] for name in ("fig1", "fig3", "section2")]
     commands += [["survey", str(n), *flag] for n in range(1, 7) for flag in ([], ["--json"])]
     files = []
@@ -146,10 +148,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base-src", type=Path, required=True)
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = corpus(args.seed, Path(tmp))
+        commands = corpus(Path(tmp))
         base = run_tree(args.base_src.resolve(), commands)
         new = run_tree(args.src.resolve(), commands)
     differences = 0
